@@ -2,7 +2,9 @@
 
 Output is CSV on stdout with a fixed version comment first, one row per
 (instance, method, seed) run. Costs and gaps are deterministic for a
-given seed; only the timing columns vary between invocations.
+given seed; only the timing columns vary between invocations. An input
+file that cannot be read or parsed is reported as one line on stderr,
+with the file and line, and the exit status is 2.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import sys
 import time
 
 from .instance import (
+    FormatError,
     Instance,
     generate_pairs,
     parse_instance,
@@ -32,12 +35,27 @@ METHODS = ("hgs", "rr", "rr-fast", "ls-only", "oracle")
 SCALING_SIZES = (128, 256, 512)
 
 
+class InputError(Exception):
+    """An unusable input file; ``main`` prints it on one line and exits 2."""
+
+
 def parse_seeds(text: str) -> list:
-    """Seed lists come as '7', '1,2,5' or '1..10' (inclusive)."""
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(tok) for tok in text.split(",") if tok]
+    """Seed lists come as '7', '1,2,5' or '1..10' (inclusive).
+
+    Serves as the argparse type of ``--seeds``, so a bad list is a
+    usage error before anything runs.
+    """
+    try:
+        if ".." in text:
+            lo, hi = text.split("..", 1)
+            seeds = list(range(int(lo), int(hi) + 1))
+        else:
+            seeds = [int(tok) for tok in text.split(",") if tok]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a seed list: {text!r}") from None
+    if not seeds:
+        raise argparse.ArgumentTypeError(f"no seeds in {text!r}")
+    return seeds
 
 
 def _fmt_cost(value) -> str:
@@ -46,16 +64,36 @@ def _fmt_cost(value) -> str:
     return repr(float(value))
 
 
-def load_refs(path) -> dict:
+def _read_input(path, parse):
+    """Parses a file's text, turning a missing file or a FormatError
+    into an InputError that names the file."""
+    try:
+        return parse(pathlib.Path(path).read_text())
+    except OSError as err:
+        raise InputError(f"{path}: {err.strerror}") from None
+    except FormatError as err:
+        raise InputError(f"{path}: {err}") from None
+
+
+def _parse_refs(text: str) -> dict:
+    """Reference costs, one 'name,cost' line each."""
     refs = {}
-    for raw in pathlib.Path(path).read_text().splitlines():
+    for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        name, cost = line.split(",")[:2]
-        cost = cost.strip()
-        refs[name.strip()] = int(cost) if cost.lstrip("-").isdigit() else float(cost)
+        fields = line.split(",")
+        cost = fields[1].strip() if len(fields) > 1 else ""
+        try:
+            value = int(cost) if cost.lstrip("-").isdigit() else float(cost)
+        except ValueError:
+            raise FormatError(line_no, f"expected 'name,cost', got {line!r}") from None
+        refs[fields[0].strip()] = value
     return refs
+
+
+def load_refs(path) -> dict:
+    return _read_input(path, _parse_refs)
 
 
 def run_method(inst: Instance, method: str, seed: int, args):
@@ -105,7 +143,7 @@ def _emit_rows(instances, args, out):
     print(CSV_HEADER, file=out)
     rows = []
     for inst in instances:
-        for seed in parse_seeds(args.seeds):
+        for seed in args.seeds:
             cost, tour, ttb, total = run_method(inst, args.method, seed, args)
             ref = refs.get(inst.name)
             gap = "" if ref in (None, 0) else f"{100.0 * (cost - ref) / ref:.4f}"
@@ -123,7 +161,7 @@ def _emit_rows(instances, args, out):
 
 def cmd_solve(args, out=None) -> int:
     out = out if out is not None else sys.stdout
-    instances = [parse_instance(pathlib.Path(p).read_text()) for p in args.paths]
+    instances = [_read_input(p, parse_instance) for p in args.paths]
     _emit_rows(instances, args, out)
     return 0
 
@@ -141,7 +179,7 @@ def cmd_bench(args, out=None) -> int:
     if args.scaling:
         return _bench_scaling(args, out)
     paths = sorted(pathlib.Path(args.dir).glob("*.pdtsp"))
-    instances = [parse_instance(p.read_text()) for p in paths]
+    instances = [_read_input(p, parse_instance) for p in paths]
     if args.group:
         instances = [i for i in instances if _instance_group(i.name) == args.group]
     if not instances:
@@ -235,7 +273,9 @@ def cmd_gen(args, out=None) -> int:
 
 def _add_run_flags(sub):
     sub.add_argument("--method", choices=METHODS, default="hgs")
-    sub.add_argument("--seeds", default="1", help="e.g. 3, 1,2,5 or 1..10")
+    sub.add_argument(
+        "--seeds", type=parse_seeds, default="1", help="e.g. 3, 1,2,5 or 1..10"
+    )
     sub.add_argument("--tmax", type=float, default=None, help="wall clock budget, seconds")
     sub.add_argument(
         "--budget-noimprove",
@@ -287,7 +327,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except InputError as err:
+        print(f"pdtsp: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -131,7 +131,7 @@ class Instance:
 
     @property
     def eps(self) -> float:
-        """Improvement threshold: exact for integer costs, relative otherwise."""
+        """Improvement threshold: 0 for integer costs, an absolute 1e-9 otherwise."""
         return 0.0 if self.integral else 1e-9
 
     def partner(self, v: int) -> int:
@@ -194,6 +194,8 @@ def _parse_number(token: str, line_no: int):
         value = float(token)
     except ValueError:
         raise FormatError(line_no, f"expected a number, got {token!r}") from None
+    if not math.isfinite(value):
+        raise FormatError(line_no, f"expected a finite number, got {token!r}")
     return value
 
 
@@ -275,7 +277,13 @@ def parse_instance(text: str) -> Instance:
         while len(values) < nv * nv:
             line_no, toks = take()
             for tok in toks:
-                values.append(_parse_number(tok, line_no))
+                value = _parse_number(tok, line_no)
+                if value < 0:
+                    raise FormatError(line_no, f"matrix entries must be nonnegative, got {tok}")
+                k = len(values)
+                if k < nv * nv and k % (nv + 1) == 0 and value != 0:
+                    raise FormatError(line_no, f"matrix diagonal must be zero, got {tok}")
+                values.append(value)
         if len(values) > nv * nv:
             raise FormatError(line_no, f"matrix needs exactly {nv * nv} entries")
         matrix = [values[i * nv : (i + 1) * nv] for i in range(nv)]

@@ -4,10 +4,15 @@ Removing pair (x, x+n) from a tour leaves a shorter sequence rho; the
 pair can go back either consecutively into one slot or split across two
 slots with x first. Enumerating split placements naively costs O(n^2)
 per pair, but the cheapest completion for the delivery only depends on
-where the pickup went, so a backward suffix-minimum over delivery slots
-brings the whole evaluation down to O(n). The naive enumeration is kept
-both as a correctness reference and as the slow evaluator the
-ruin-and-recreate comparison runs use.
+where the pickup went. One backward pass over the slots therefore does
+it all in O(n): it carries the running minimum of the delivery's cost
+over the slots after the current one, with the slot that attains it,
+and prices the pickup at the current slot against that minimum. The
+consecutive placements are priced in the same pass. Scanning backwards,
+a candidate replaces the best on ties too, so the smallest slot wins,
+as in the forward enumeration. The naive enumeration is kept both as a
+correctness reference and as the slow evaluator the ruin-and-recreate
+comparison runs use.
 
 Slots are named by the rho element they follow: inserting "at t" places
 a visit between rho[t] and rho[t+1]. The last slot is len(rho)-2 since
@@ -32,43 +37,31 @@ def best_insertion(w, rho, x: int, nx: int):
     last = len(rho) - 2
     wx = w[x]
     wnx = w[nx]
+    x_nx = wx[nx]
 
-    best_c = math.inf
-    best_ct = -1
-    for t in range(last + 1):
-        u, v = rho[t], rho[t + 1]
-        d = wx[u] + wx[nx] + wnx[v] - w[u][v]
-        if d < best_c:
+    # run is the cheapest delivery cost over the slots after t, found
+    # at slot run_t. At t = last no slot follows, so the split candidate
+    # there costs inf; it never wins, as consecutive ones are finite.
+    best_c = best_s = run = math.inf
+    best_ct = best_si = best_sj = run_t = -1
+    v = rho[last + 1]
+    for t in range(last, -1, -1):
+        u = rho[t]
+        base = w[u][v]
+        d = wx[u] + x_nx + wnx[v] - base
+        if d <= best_c:
             best_c = d
             best_ct = t
-
-    # Split insertion: A(t) inserts x at t, phi(t) is the cheapest
-    # delivery slot strictly after t.
-    best_s = math.inf
-    best_si = best_sj = -1
-    if last >= 1:
-        b = [0.0] * (last + 1)
-        for t in range(1, last + 1):
-            u, v = rho[t], rho[t + 1]
-            b[t] = wnx[u] + wnx[v] - w[u][v]
-        phi = [0.0] * last
-        phi_arg = [0] * last
-        phi[last - 1] = b[last]
-        phi_arg[last - 1] = last
-        for t in range(last - 2, -1, -1):
-            if b[t + 1] <= phi[t + 1]:
-                phi[t] = b[t + 1]
-                phi_arg[t] = t + 1
-            else:
-                phi[t] = phi[t + 1]
-                phi_arg[t] = phi_arg[t + 1]
-        for t in range(last):
-            u, v = rho[t], rho[t + 1]
-            d = wx[u] + wx[v] - w[u][v] + phi[t]
-            if d < best_s:
-                best_s = d
-                best_si = t
-                best_sj = phi_arg[t]
+        d = wx[u] + wx[v] - base + run
+        if d <= best_s:
+            best_s = d
+            best_si = t
+            best_sj = run_t
+        d = wnx[u] + wnx[v] - base
+        if d <= run:
+            run = d
+            run_t = t
+        v = u
 
     if best_c <= best_s:
         return best_c, best_ct, best_ct

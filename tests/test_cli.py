@@ -1,5 +1,6 @@
 """End-to-end checks through the command line entry point."""
 
+import argparse
 import pathlib
 import random
 
@@ -49,6 +50,53 @@ def test_load_refs(tmp_path):
     p = tmp_path / "refs.csv"
     p.write_text("# comment\nfoo-C0, 123\nbar-A1, 4.5  # trailing\n\n")
     assert load_refs(p) == {"foo-C0": 123, "bar-A1": 4.5}
+
+
+def test_parse_seeds_rejects_empty_and_malformed_lists(capsys):
+    for text in ("5..1", ",", "1..x"):
+        with pytest.raises(argparse.ArgumentTypeError):
+            parse_seeds(text)
+    with pytest.raises(SystemExit) as err:
+        main(["solve", "unused.pdtsp", "--seeds", "5..1"])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--seeds: no seeds in '5..1'" in captured.err
+
+
+def test_malformed_instance_reported_on_one_line(capsys, tmp_path):
+    path = gen_instances(capsys, tmp_path, count=1)[0]
+    lines = path.read_text().splitlines()
+    at = lines.index("COORDS") + 2
+    lines[at] = lines[at].rsplit(" ", 1)[0] + " nan"
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli(capsys, ["solve", str(path), "--method", "ls-only"])
+    assert code == 2
+    assert out == []
+    assert err.splitlines() == [
+        f"pdtsp: {path}: line {at + 1}: expected a finite number, got 'nan'"
+    ]
+
+
+def test_missing_instance_reported_on_one_line(capsys, tmp_path):
+    path = tmp_path / "absent.pdtsp"
+    code, _, err = run_cli(capsys, ["solve", str(path)])
+    assert code == 2
+    assert err.splitlines() == [f"pdtsp: {path}: No such file or directory"]
+
+
+def test_malformed_reference_line_named(capsys, tmp_path):
+    path = gen_instances(capsys, tmp_path, count=1, n=3)[0]
+    refs = tmp_path / "refs.csv"
+    refs.write_text("# name,cost\nfoo,12\nonlyname\n")
+    code, out, err = run_cli(
+        capsys, ["solve", str(path), "--method", "ls-only", "--ref", str(refs)]
+    )
+    assert code == 2
+    assert out == []
+    assert err.splitlines() == [
+        f"pdtsp: {refs}: line 3: expected 'name,cost', got 'onlyname'"
+    ]
 
 
 def test_gen_writes_parseable_files(capsys, tmp_path):

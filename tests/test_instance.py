@@ -191,6 +191,42 @@ def test_parse_rejects_asymmetric_matrix():
     assert "symmetric" in str(err.value)
 
 
+def matrix_text(rows):
+    return "\n".join(
+        ["NAME m", "PAIRS 1", "MODE closed", "ROUNDING none", "EDGE_SOURCE matrix", "MATRIX"]
+        + rows
+        + ["PAIRING", "1 2", "EOF"]
+    )
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1e999"])
+def test_parse_rejects_nonfinite_coordinate_with_line(bad):
+    lines = render_instance(euclid_instance(random.Random(3), 2)).splitlines()
+    at = lines.index("COORDS") + 2
+    idx, _, y = lines[at].split()
+    lines[at] = f"{idx} {bad} {y}"
+    with pytest.raises(FormatError) as err:
+        parse_instance("\n".join(lines))
+    assert err.value.line_no == at + 1
+    assert "finite" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "rows, line_no, words",
+    [
+        (["0 1 nan", "1 0 1", "nan 1 0"], 7, "finite"),
+        (["0 1 2", "1 0 inf", "2 inf 0"], 8, "finite"),
+        (["0 1 2", "1 0 -1", "2 -1 0"], 8, "nonnegative"),
+        (["0 1 2", "1 5 1", "2 1 0"], 8, "diagonal"),
+    ],
+)
+def test_parse_rejects_bad_matrix_entry_with_line(rows, line_no, words):
+    with pytest.raises(FormatError) as err:
+        parse_instance(matrix_text(rows))
+    assert err.value.line_no == line_no
+    assert words in str(err.value)
+
+
 def test_generate_pairs_parity_and_groups():
     rng = random.Random(2)
     with pytest.raises(ValueError):

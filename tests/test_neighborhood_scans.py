@@ -161,6 +161,65 @@ def test_or_opt_scan_matches_oracle(k_or):
                 assert close(trial.cost, tour_cost(inst, trial.seq), inst.integral)
 
 
+def assert_or_opt_matches_oracle(states, k_or):
+    for inst, tour in states:
+        for a in range(1, 2 * inst.n_pairs + 1):
+            mv = or_opt_scan(inst, tour, a, k_or)
+            oracle = or_opt_oracle(inst, tour, a, k_or)
+            assert mv.feasible == oracle.feasible
+            if not mv.feasible:
+                continue
+            assert isinstance(mv.delta, int) == inst.integral
+            assert close(mv.delta, oracle.delta, inst.integral)
+            if inst.integral:
+                assert mv.indices == oracle.indices, (a, k_or, tour.seq)
+            # On floats, two moves giving the same tour tie exactly but
+            # their deltas round differently, so the scan and the oracle
+            # may pick different ones: compare values, then realize it.
+            trial = tour.copy()
+            apply_move(inst, trial, mv)
+            assert trial.is_feasible()
+            assert close(tour_cost(inst, trial.seq), tour.cost + oracle.delta, inst.integral)
+
+
+@pytest.mark.parametrize("k_or", [1, 3, 30])
+def test_or_opt_scan_matches_oracle_float(k_or):
+    assert_or_opt_matches_oracle(build_states(410 + k_or, (2, 3, 6), floats=True), k_or)
+
+
+def test_or_opt_scan_long_segments_with_pending_deliveries():
+    # Twelve pairs and k_or = 30 let segments hold several pickups whose
+    # deliveries lie further on, so the feasible range's upper bound
+    # changes as each one is passed.
+    rng = random.Random(430)
+    states = []
+    for mode in ("closed", "open"):
+        inst = euclid_instance(rng, 12, mode=mode)
+        states += [(inst, random_feasible_tour(rng, inst)) for _ in range(2)]
+    assert_or_opt_matches_oracle(states, 30)
+
+
+def test_scans_break_ties_like_their_references():
+    # Costs within a span of 3 make most candidates tie, so only the
+    # candidate order decides the winner.
+    rng = random.Random(440)
+    for n in (3, 5, 7):
+        for mode in ("closed", "open"):
+            inst = euclid_instance(rng, n, mode=mode, span=3)
+            w = inst.work_cost()
+            for _ in range(4):
+                tour = random_feasible_tour(rng, inst)
+                for a in range(1, 2 * n + 1):
+                    mv = or_opt_scan(inst, tour, a, 30)
+                    oracle = or_opt_oracle(inst, tour, a, 30)
+                    assert (mv.indices, mv.delta) == (oracle.indices, oracle.delta)
+                for x in range(1, n + 1):
+                    rho = [v for v in tour.seq if v not in (x, x + n)]
+                    assert best_insertion(w, rho, x, x + n) == best_insertion_naive(
+                        w, rho, x, x + n
+                    )
+
+
 def test_or_opt_identity_excluded_but_reversal_in_place_allowed():
     rng = random.Random(41)
     inst = euclid_instance(rng, 3)
