@@ -20,6 +20,7 @@ from .instance import (
     Instance,
     generate_pairs,
     parse_instance,
+    parse_points,
     render_instance,
     render_solution,
 )
@@ -240,22 +241,14 @@ def _bench_scaling(args, out) -> int:
 
 def cmd_gen(args, out=None) -> int:
     out = out if out is not None else sys.stdout
+    coords = _read_input(args.coords, parse_points) if args.coords else None
     out_dir = pathlib.Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = random.Random(args.seed)
     for idx in range(args.count):
-        if args.coords:
-            pts = []
-            for raw in pathlib.Path(args.coords).read_text().splitlines():
-                line = raw.split("#", 1)[0].strip()
-                if line:
-                    x, y = line.split()[:2]
-                    pts.append((float(x), float(y)))
-        else:
-            pts = [
-                (rng.randint(0, 1000), rng.randint(0, 1000))
-                for _ in range(2 * args.n + 1)
-            ]
+        pts = coords or [
+            (rng.randint(0, 1000), rng.randint(0, 1000)) for _ in range(2 * args.n + 1)
+        ]
         name = f"{args.name}-{args.group}{idx}"
         inst = generate_pairs(
             pts,

@@ -199,6 +199,26 @@ def _parse_number(token: str, line_no: int):
     return value
 
 
+def parse_points(text: str) -> list:
+    """Points for ``generate_pairs``, one 'x y' line each, depot first.
+
+    Further fields on a line are ignored. The count of non-depot points
+    must be even and nonzero; otherwise the error names the last line.
+    """
+    pts = []
+    line_no = 1
+    for line_no, tokens in _tokenize(text):
+        if len(tokens) < 2:
+            raise FormatError(line_no, f"expected 'x y', got {' '.join(tokens)!r}")
+        pts.append(tuple(float(_parse_number(tok, line_no)) for tok in tokens[:2]))
+    m = max(len(pts) - 1, 0)
+    if m < 2 or m % 2:
+        raise FormatError(
+            line_no, f"need an even nonzero number of non-depot points, got {m}"
+        )
+    return pts
+
+
 def parse_instance(text: str) -> Instance:
     """Parses the canonical instance format, relabeling pairs to 1..n / n+1..2n.
 

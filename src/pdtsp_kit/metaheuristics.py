@@ -335,8 +335,14 @@ def hgs_run(
     stats: dict | None = None,
 ) -> Tour:
     """Hybrid genetic search; stops on the time budget or after
-    ``max_no_improve`` consecutive children without a new best."""
+    ``max_no_improve`` consecutive children without a new best.
+
+    The time budget also bounds every descent and the building of the
+    initial population, which stops at the deadline once it holds one
+    tour.
+    """
     t_start = time.perf_counter()
+    deadline = None if params.tmax is None else t_start + params.tmax
     sp = params.search
     pop: list[_Member] = []
     dist: list[list[float]] = []
@@ -371,16 +377,18 @@ def hgs_run(
     ttb = 0.0
     for _ in range(params.mu):
         t = greedy_construct(inst, rng)
-        local_search(inst, t, sp, rng)
+        local_search(inst, t, sp, rng, deadline=deadline)
         add(t)
         if best is None or t.cost < best.cost:
             best = t.copy()
             ttb = time.perf_counter() - t_start
+        if deadline is not None and time.perf_counter() >= deadline:
+            break
 
     children = 0
     no_improve = 0
     while True:
-        if params.tmax is not None and time.perf_counter() - t_start >= params.tmax:
+        if deadline is not None and time.perf_counter() >= deadline:
             break
         if params.max_no_improve is not None and no_improve >= params.max_no_improve:
             break
@@ -395,7 +403,7 @@ def hgs_run(
         p1 = pop[pick()].tour
         p2 = pop[pick()].tour
         child = mutate_and_repair(inst, lox_crossover(p1, p2, rng))
-        local_search(inst, child, sp, rng)
+        local_search(inst, child, sp, rng, deadline=deadline)
         add(child)
         children += 1
         if child.cost < best.cost:

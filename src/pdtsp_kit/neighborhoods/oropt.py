@@ -16,9 +16,10 @@ the segment holds a complete pair, whose order the flip would break.
 Slots are read straight from the tour. For a segment of length L,
 slot t is the tour edge t, (seq[t], seq[t+1]), when t < a-1; the
 bridge (seq[a-1], seq[a+L]) left by the removal when t == a-1; and the
-tour edge t+L when t >= a. The tour's edge costs are listed once per
-scan, and the other costs a slot needs lie in the rows of the
-segment's head and tail, so the slot loops touch no other matrix row.
+tour edge t+L when t >= a. The tour's edge costs are read from
+``tour.edge``, which ``apply_move`` keeps current, and the other costs
+a slot needs lie in the rows of the segment's head and tail, so the
+slot loops touch no other matrix row.
 The reversed candidate's cost from a slot's left end u to the tail is
 read as w[tail][u], equal to w[u][tail] since costs are symmetric.
 Reinserting the segment unreversed at the bridge is the identity and
@@ -53,7 +54,7 @@ def or_opt_scan(inst: Instance, tour: Tour, a: int, k_or: int) -> MoveDelta:
     head = seq[a]
     wp = w[prev]
     wh = w[head]
-    edge = [w[u][v] for u, v in zip(seq, seq[1:])]
+    edge = tour.edge
 
     best_d = math.inf
     best_len = best_t = 0

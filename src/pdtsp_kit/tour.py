@@ -35,9 +35,13 @@ class MoveDelta:
         return self.feasible and self.delta < -eps
 
 
-def tour_cost(inst: Instance, seq) -> float:
+def _edge_costs(inst: Instance, seq) -> list:
     w = inst.work_cost()
-    return sum(w[seq[t]][seq[t + 1]] for t in range(len(seq) - 1))
+    return [w[u][v] for u, v in zip(seq, seq[1:])]
+
+
+def tour_cost(inst: Instance, seq) -> float:
+    return sum(_edge_costs(inst, seq))
 
 
 def check_precedence(inst: Instance, seq) -> list:
@@ -57,9 +61,13 @@ class Tour:
     included) and does not require precedence feasibility, so repair
     procedures can hold violating tours. Structural validity (a
     permutation bracketed by depot and terminal) is always enforced.
+
+    ``edge`` is derived state: ``edge[t]`` is the cost of the tour edge
+    (seq[t], seq[t+1]). ``recost`` builds it and only ``apply_move``
+    advances it. Both assign a new list, so copies share it safely.
     """
 
-    __slots__ = ("inst", "seq", "pos", "cost")
+    __slots__ = ("inst", "seq", "pos", "cost", "edge")
 
     def __init__(self, inst: Instance, seq):
         self.inst = inst
@@ -73,7 +81,7 @@ class Tour:
             raise ValueError("tour must visit every customer exactly once")
         self.pos = [0] * (nv + 1)
         self._reindex()
-        self.cost = tour_cost(inst, self.seq)
+        self.recost()
 
     def _reindex(self):
         for t in range(len(self.seq) - 1):
@@ -108,6 +116,7 @@ class Tour:
         dup.seq = list(self.seq)
         dup.pos = list(self.pos)
         dup.cost = self.cost
+        dup.edge = self.edge
         return dup
 
     def violations(self) -> list:
@@ -117,7 +126,8 @@ class Tour:
         return not self.violations()
 
     def recost(self) -> float:
-        self.cost = tour_cost(self.inst, self.seq)
+        self.edge = _edge_costs(self.inst, self.seq)
+        self.cost = sum(self.edge)
         return self.cost
 
     def __repr__(self):
@@ -129,7 +139,8 @@ def _rev(chunk):
 
 
 def apply_move(inst: Instance, tour: Tour, move: MoveDelta) -> None:
-    """Applies a MoveDelta in place, updating sequence, positions and cost.
+    """Applies a MoveDelta in place, updating sequence, positions, edge
+    costs and cost.
 
     Deltas are trusted: the cached cost is advanced by ``move.delta``
     rather than recomputed, which keeps integer instances exact.
@@ -197,4 +208,5 @@ def apply_move(inst: Instance, tour: Tour, move: MoveDelta) -> None:
         raise ValueError(f"unknown move kind {kind!r}")
 
     tour._reindex()
+    tour.edge = _edge_costs(inst, seq)
     tour.cost += move.delta

@@ -8,7 +8,12 @@ import pytest
 
 import pdtsp_kit.cli as cli
 from pdtsp_kit.cli import CSV_HEADER, CSV_TAG, load_refs, main, parse_seeds
-from pdtsp_kit.instance import parse_instance, parse_solution, render_instance
+from pdtsp_kit.instance import (
+    parse_instance,
+    parse_points,
+    parse_solution,
+    render_instance,
+)
 from pdtsp_kit.oracle import brute_force_optimal
 from pdtsp_kit.tour import Tour
 
@@ -264,6 +269,48 @@ def test_gen_from_coords_file(capsys, tmp_path):
     assert code == 0
     inst = parse_instance((d / "fixed-C0.pdtsp").read_text())
     assert inst.n_pairs == 4
+
+
+@pytest.mark.parametrize(
+    "text, line, msg",
+    [
+        ("0 0\n1 1\n# lone number\n7\n2 2\n", 4, "expected 'x y', got '7'"),
+        ("0 0\n1 1\n2 x\n", 3, "expected a number, got 'x'"),
+        ("# depot\n0 0\n1 1\n2 2\n\n3 3\n", 6,
+         "need an even nonzero number of non-depot points, got 3"),
+        ("0 0\n1 1\n", 2, "need an even nonzero number of non-depot points, got 1"),
+    ],
+)
+def test_gen_malformed_coords_named(capsys, tmp_path, text, line, msg):
+    coords = tmp_path / "pts.txt"
+    coords.write_text(text)
+    d = tmp_path / "never"
+    code, out, err = run_cli(capsys, ["gen", "--coords", str(coords), "--out", str(d)])
+    assert code == 2
+    assert out == []
+    assert err.splitlines() == [f"pdtsp: {coords}: line {line}: {msg}"]
+    assert not d.exists()
+
+
+def test_gen_reads_coords_once(capsys, tmp_path, monkeypatch):
+    coords = tmp_path / "pts.txt"
+    coords.write_text("0 0\n1 5\n4 2\n6 6\n2 9\n")
+    reads = []
+
+    def counted(text):
+        reads.append(text)
+        return parse_points(text)
+
+    monkeypatch.setattr(cli, "parse_points", counted)
+    d = tmp_path / "many"
+    code, out, _ = run_cli(
+        capsys, ["gen", "--coords", str(coords), "--count", "3", "--out", str(d)]
+    )
+    assert code == 0 and len(out) == 3
+    assert len(reads) == 1
+    insts = [parse_instance(p.read_text()) for p in sorted(d.iterdir())]
+    assert all(inst.n_pairs == 2 for inst in insts)
+    assert len({tuple(sorted(inst.coords)) for inst in insts}) == 1
 
 
 def test_unknown_method_rejected(capsys, tmp_path):

@@ -1,6 +1,7 @@
 """Construction, destroy operators, ruin-and-recreate and genetic search."""
 
 import random
+import time
 
 import pytest
 
@@ -268,6 +269,18 @@ def test_hgs_time_budget_stops():
     params = HgsParams(mu=4, lam=4, tmax=0.3, max_no_improve=None)
     best = hgs_run(inst, params, random.Random(2))
     assert best.is_feasible()
+
+
+def test_hgs_time_budget_bounds_every_descent():
+    # At n = 60 the initial population alone takes seconds, so a budget
+    # of half a second holds only if descents watch the clock too.
+    inst = euclid_instance(random.Random(104), 60, span=1000)
+    t0 = time.perf_counter()
+    stats = {}
+    best = hgs_run(inst, HgsParams(tmax=0.5), random.Random(1), stats)
+    assert time.perf_counter() - t0 < 1.5
+    assert best.is_feasible()
+    assert best.cost == stats["cost"] == tour_cost(inst, best.seq)
 
 
 def test_hgs_params_validation():

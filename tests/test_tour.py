@@ -159,3 +159,50 @@ def test_copy_independent():
     apply_move(inst, t, MoveDelta("2opt", (1, 3), 0, True))
     assert dup.seq is not t.seq and dup.pos is not t.pos
     assert dup.cost == tour_cost(inst, dup.seq)
+
+
+def _edges(inst, seq):
+    return [tour_cost(inst, seq[t : t + 2]) for t in range(len(seq) - 1)]
+
+
+@pytest.mark.parametrize("mode", ["closed", "open"])
+def test_edge_costs_follow_every_move_kind(mode):
+    rng = random.Random(14)
+    inst = euclid_instance(rng, 4, mode=mode)
+    t = random_feasible_tour(rng, inst)
+    assert t.edge == _edges(inst, t.seq)
+
+    def shuffled():
+        inner = t.seq[1:-1]
+        rng.shuffle(inner)
+        return tuple(t.seq[:1] + inner + t.seq[-1:])
+
+    moves = [
+        ("relocate-pair", (1, 0, 0), None),
+        ("relocate-pair", (2, 1, 3), None),
+        ("2opt", (1, 5), None),
+        ("or-opt", (2, 2, 3, True), None),
+        ("or-opt", (3, 1, 5, False), None),
+        ("2k-opt", (), shuffled()),
+        ("bs", (3,), shuffled()),
+        ("4opt-type1", (1, 3, 5, 7), None),
+        ("4opt-type2a", (1, 3, 5, 7), None),
+        ("4opt-type2b", (2, 3, 6, 8), None),
+    ]
+    for kind, indices, seq_after in moves:
+        # A copy takes the move first; the original's edges stay put.
+        probe = t.copy()
+        assert probe.edge == t.edge
+        before = list(t.edge)
+        apply_move(inst, probe, MoveDelta(kind, indices, 0, True, seq_after))
+        assert t.edge == before
+        assert probe.edge == _edges(inst, probe.seq)
+        delta = tour_cost(inst, probe.seq) - t.cost
+        apply_move(inst, t, MoveDelta(kind, indices, delta, True, seq_after))
+        assert t.seq == probe.seq
+        assert t.edge == _edges(inst, t.seq), kind
+        assert t.cost == tour_cost(inst, t.seq) == sum(t.edge)
+
+    t.seq[1:-1] = t.seq[-2:0:-1]
+    assert t.recost() == tour_cost(inst, t.seq)
+    assert t.edge == _edges(inst, t.seq)
