@@ -7,74 +7,30 @@ and file formats, a tour representation, six precedence-aware improvement
 neighborhoods, a two-phase local search, ruin-and-recreate and hybrid
 genetic metaheuristics, an exact enumeration solver for small instances,
 and a command line front end.
+
+The names below are the library quick start of the README; everything
+else is imported from its submodule (``pdtsp_kit.tour``,
+``pdtsp_kit.neighborhoods`` and so on).
 """
 
-from .instance import (
-    FormatError,
-    Instance,
-    build_cost_matrix,
-    generate_pairs,
-    parse_instance,
-    parse_solution,
-    render_instance,
-    render_solution,
-)
-from .tour import MoveDelta, Tour, apply_move, check_precedence, tour_cost
-from .neighborhoods import (
-    SearchParams,
-    bs_best,
-    four_opt_best,
-    or_opt_scan,
-    relocate_pair_best,
-    two_k_opt_best,
-    two_opt_scan,
-)
+from .instance import FormatError, parse_instance
+from .neighborhoods import SearchParams
 from .search import local_search
-from .metaheuristics import (
-    HgsParams,
-    RrParams,
-    biased_fitness,
-    greedy_construct,
-    hgs_run,
-    lox_crossover,
-    mutate_and_repair,
-    rr_run,
-)
-from .oracle import OracleResult, brute_force_optimal
+from .metaheuristics import HgsParams, RrParams, greedy_construct, hgs_run, rr_run
+from .oracle import brute_force_optimal
 
 __version__ = "0.1.0"
 
 __all__ = [
     "FormatError",
-    "Instance",
-    "build_cost_matrix",
-    "generate_pairs",
-    "parse_instance",
-    "parse_solution",
-    "render_instance",
-    "render_solution",
-    "MoveDelta",
-    "Tour",
-    "apply_move",
-    "check_precedence",
-    "tour_cost",
-    "SearchParams",
-    "relocate_pair_best",
-    "two_opt_scan",
-    "or_opt_scan",
-    "two_k_opt_best",
-    "four_opt_best",
-    "bs_best",
-    "local_search",
     "HgsParams",
     "RrParams",
-    "biased_fitness",
+    "SearchParams",
+    "brute_force_optimal",
     "greedy_construct",
     "hgs_run",
-    "lox_crossover",
-    "mutate_and_repair",
+    "local_search",
+    "parse_instance",
     "rr_run",
-    "OracleResult",
-    "brute_force_optimal",
     "__version__",
 ]

@@ -18,6 +18,7 @@ import time
 from .instance import (
     FormatError,
     Instance,
+    _parse_number,
     generate_pairs,
     parse_instance,
     parse_points,
@@ -85,11 +86,9 @@ def _parse_refs(text: str) -> dict:
             continue
         fields = line.split(",")
         cost = fields[1].strip() if len(fields) > 1 else ""
-        try:
-            value = int(cost) if cost.lstrip("-").isdigit() else float(cost)
-        except ValueError:
-            raise FormatError(line_no, f"expected 'name,cost', got {line!r}") from None
-        refs[fields[0].strip()] = value
+        if not cost:
+            raise FormatError(line_no, f"expected 'name,cost', got {line!r}")
+        refs[fields[0].strip()] = _parse_number(cost, line_no)
     return refs
 
 

@@ -139,11 +139,6 @@ class Instance:
             raise ValueError(f"visit {v} has no partner")
         return v + self.n_pairs if v <= self.n_pairs else v - self.n_pairs
 
-    @property
-    def pair_of(self) -> tuple:
-        n = self.n_pairs
-        return (None,) + tuple(range(n + 1, 2 * n + 1)) + tuple(range(1, n + 1))
-
     def work_cost(self) -> list:
         """Cost matrix used by every tour formula.
 

@@ -21,14 +21,10 @@ from dataclasses import dataclass, field
 
 from .instance import Instance, OPEN
 from .neighborhoods import SearchParams, four_opt_type1_any
-from .neighborhoods.relocate import (
-    best_insertion,
-    best_insertion_naive,
-    insert_pair,
-    removal_delta,
-)
+from .neighborhoods.oracles import best_insertion_naive
+from .neighborhoods.relocate import best_insertion, removal_delta
 from .search import local_search
-from .tour import Tour, check_precedence
+from .tour import Tour, check_precedence, four_opt_splice, insert_pair
 
 
 @dataclass
@@ -37,8 +33,8 @@ class RrParams:
 
     ``iters`` gives a deterministic run; ``tmax`` (seconds) may cap or
     replace it. ``fast`` switches between the linear-time insertion
-    evaluator and the naive quadratic one, which follow identical
-    trajectories.
+    evaluator and the quadratic reference one in
+    ``neighborhoods.oracles``, which follow identical trajectories.
     """
 
     iters: int | None = 10000
@@ -64,8 +60,10 @@ class HgsParams:
     search: SearchParams = field(default_factory=SearchParams)
 
     def __post_init__(self):
-        if self.mu < 2:
-            raise ValueError("mu must be at least 2")
+        if self.mu < 3:
+            raise ValueError(
+                "mu must be at least 3: the diversity rank needs two neighbors"
+            )
         if self.lam < 1:
             raise ValueError("lam must be at least 1")
         if not 0 <= self.mu_elite <= self.mu:
@@ -250,15 +248,9 @@ def mutate_and_repair(inst: Instance, seq: list) -> Tour:
     n = inst.n_pairs
     res = four_opt_type1_any(inst, seq)
     if res is not None:
-        delta, (i1, i2, j1, j2) = res
+        delta, cuts = res
         if delta < -inst.eps:
-            seq = (
-                seq[: i1 + 1]
-                + seq[j1 + 1 : j2 + 1]
-                + seq[i2 + 1 : j1 + 1]
-                + seq[i1 + 1 : i2 + 1]
-                + seq[j2 + 1 :]
-            )
+            seq = four_opt_splice(seq, "4opt-type1", cuts)
     broken = check_precedence(inst, seq)
     if broken:
         at = {v: t for t, v in enumerate(seq[:-1])}

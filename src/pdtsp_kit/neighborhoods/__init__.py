@@ -11,13 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .relocate import (
-    best_insertion,
-    best_insertion_naive,
-    relocate_pair_best,
-    relocate_pair_best_naive,
-)
-from .twoopt import two_opt_delta, two_opt_scan
+from .relocate import relocate_pair_best
+from .twoopt import two_opt_scan
 from .oropt import or_opt_scan
 from .twokopt import two_k_opt_best
 from .fouropt import four_opt_best, four_opt_type1_any
@@ -49,11 +44,7 @@ class SearchParams:
 
 __all__ = [
     "SearchParams",
-    "best_insertion",
-    "best_insertion_naive",
     "relocate_pair_best",
-    "relocate_pair_best_naive",
-    "two_opt_delta",
     "two_opt_scan",
     "or_opt_scan",
     "two_k_opt_best",

@@ -7,6 +7,8 @@ i1 < i2 < j1 < j2 (P5 possibly empty). The three patterns are
   type 2a: P1 r(P3) r(P4) P2  P5
   type 2b: P1  P4  r(P2) r(P3) P5
 
+and ``tour.four_opt_splice`` realizes them.
+
 Each pattern's gain splits into a term depending on (i2, j2) and a term
 depending on (i1, j1), so for every (i2, j2) the best partner cut is a
 prefix minimum over earlier (i1, j1). Only the cheapest partner is then
@@ -170,7 +172,9 @@ def four_opt_type1_any(inst: Instance, seq):
 
     Works on a bare sequence, so crossover offspring that violate
     precedence can be perturbed before repair. Returns (delta,
-    (i1, i2, j1, j2)) or None when the tour is too short.
+    (i1, i2, j1, j2)) or None when the tour is too short. It keeps its
+    own loop because ``four_opt_best`` weighs the three types together
+    at each (i2, j2), so their tie order depends on that shared loop.
     """
     top = len(seq) - 1
     if top - 1 < 5:

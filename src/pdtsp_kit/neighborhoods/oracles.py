@@ -1,9 +1,12 @@
 """Slow reference implementations of the neighborhood scans.
 
-Everything here realizes candidate sequences explicitly, checks
-precedence by inspection and recomputes costs from scratch. The fast
-scans are validated against these on small instances; nothing in this
-module is meant for production tour sizes.
+Everything here enumerates candidates one by one, and most functions
+realize each candidate sequence, check precedence by inspection and
+recompute its cost from scratch. The fast scans are validated against
+these on small instances; nothing in this module is meant for
+production tour sizes. The quadratic pair insertion doubles as the slow
+evaluator of ruin-and-recreate (``RrParams(fast=False)``, CLI method
+``rr``), which must follow the fast one's trajectory exactly.
 """
 
 from __future__ import annotations
@@ -13,6 +16,42 @@ import math
 
 from ..instance import Instance
 from ..tour import MoveDelta, Tour, check_precedence, tour_cost
+from .relocate import removal_delta
+
+
+def best_insertion_naive(w, rho, x: int, nx: int):
+    """Pair insertion by full enumeration; same result and tie order as
+    ``best_insertion``."""
+    last = len(rho) - 2
+    wx = w[x]
+    wnx = w[nx]
+    best = math.inf
+    best_i = best_j = -1
+    for t in range(last + 1):
+        u, v = rho[t], rho[t + 1]
+        d = wx[u] + wx[nx] + wnx[v] - w[u][v]
+        if d < best:
+            best, best_i, best_j = d, t, t
+    for t in range(last):
+        u, v = rho[t], rho[t + 1]
+        da = wx[u] + wx[v] - w[u][v]
+        for t2 in range(t + 1, last + 1):
+            u2, v2 = rho[t2], rho[t2 + 1]
+            d = da + wnx[u2] + wnx[v2] - w[u2][v2]
+            if d < best:
+                best, best_i, best_j = d, t, t2
+    return best, best_i, best_j
+
+
+def relocate_pair_best_naive(inst: Instance, tour: Tour, x: int) -> MoveDelta:
+    """``relocate_pair_best`` with the insertion found by enumeration."""
+    nx = x + inst.n_pairs
+    i, j = tour.pos[x], tour.pos[nx]
+    w = inst.work_cost()
+    rho = [v for v in tour.seq if v != x and v != nx]
+    d_ins, ip, jp = best_insertion_naive(w, rho, x, nx)
+    delta = removal_delta(w, tour.seq, i, j) + d_ins
+    return MoveDelta("relocate-pair", (x, ip, jp), delta, True)
 
 
 def two_opt_oracle(inst: Instance, tour: Tour, i: int):

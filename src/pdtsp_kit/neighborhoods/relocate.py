@@ -10,9 +10,9 @@ over the slots after the current one, with the slot that attains it,
 and prices the pickup at the current slot against that minimum. The
 consecutive placements are priced in the same pass. Scanning backwards,
 a candidate replaces the best on ties too, so the smallest slot wins,
-as in the forward enumeration. The naive enumeration is kept both as a
-correctness reference and as the slow evaluator the ruin-and-recreate
-comparison runs use.
+as in the forward enumeration. The quadratic enumeration lives in
+``oracles.py``, as this scan's reference and as the slow evaluator of
+ruin-and-recreate.
 
 Slots are named by the rho element they follow: inserting "at t" places
 a visit between rho[t] and rho[t+1]. The last slot is len(rho)-2 since
@@ -68,29 +68,6 @@ def best_insertion(w, rho, x: int, nx: int):
     return best_s, best_si, best_sj
 
 
-def best_insertion_naive(w, rho, x: int, nx: int):
-    """Reference insertion by full enumeration; same tie order as the fast one."""
-    last = len(rho) - 2
-    wx = w[x]
-    wnx = w[nx]
-    best = math.inf
-    best_i = best_j = -1
-    for t in range(last + 1):
-        u, v = rho[t], rho[t + 1]
-        d = wx[u] + wx[nx] + wnx[v] - w[u][v]
-        if d < best:
-            best, best_i, best_j = d, t, t
-    for t in range(last):
-        u, v = rho[t], rho[t + 1]
-        da = wx[u] + wx[v] - w[u][v]
-        for t2 in range(t + 1, last + 1):
-            u2, v2 = rho[t2], rho[t2 + 1]
-            d = da + wnx[u2] + wnx[v2] - w[u2][v2]
-            if d < best:
-                best, best_i, best_j = d, t, t2
-    return best, best_i, best_j
-
-
 def removal_delta(w, seq, i: int, j: int):
     # i < j are the positions of the pair being taken out.
     x, nx = seq[i], seq[j]
@@ -107,31 +84,14 @@ def removal_delta(w, seq, i: int, j: int):
     )
 
 
-def _relocate(inst: Instance, tour: Tour, x: int, evaluator) -> MoveDelta:
+def relocate_pair_best(inst: Instance, tour: Tour, x: int) -> MoveDelta:
+    """Best relocation of pair (x, x+n); never positive since staying put
+    is one of the candidates."""
     nx = x + inst.n_pairs
     i, j = tour.pos[x], tour.pos[nx]
     seq = tour.seq
     w = inst.work_cost()
     d_rem = removal_delta(w, seq, i, j)
     rho = seq[:i] + seq[i + 1 : j] + seq[j + 1 :]
-    d_ins, ip, jp = evaluator(w, rho, x, nx)
+    d_ins, ip, jp = best_insertion(w, rho, x, nx)
     return MoveDelta("relocate-pair", (x, ip, jp), d_rem + d_ins, True)
-
-
-def relocate_pair_best(inst: Instance, tour: Tour, x: int) -> MoveDelta:
-    """Best relocation of pair (x, x+n); never positive since staying put
-    is one of the candidates."""
-    return _relocate(inst, tour, x, best_insertion)
-
-
-def relocate_pair_best_naive(inst: Instance, tour: Tour, x: int) -> MoveDelta:
-    return _relocate(inst, tour, x, best_insertion_naive)
-
-
-def insert_pair(seq, x: int, nx: int, ip: int, jp: int) -> None:
-    """Splices x and nx into a bare sequence at slots chosen by an evaluator."""
-    if ip == jp:
-        seq[ip + 1 : ip + 1] = (x, nx)
-    else:
-        seq[jp + 1 : jp + 1] = (nx,)
-        seq[ip + 1 : ip + 1] = (x,)

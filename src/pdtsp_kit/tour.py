@@ -6,6 +6,10 @@ again; open tours end with a virtual terminal (id 2n+1) whose travel
 costs are all zero, which lets every move formula treat both modes
 identically. A tour is feasible when each pickup appears before its
 delivery.
+
+Every tour edit lives here. ``insert_pair`` and ``four_opt_splice`` work
+on bare sequences, so the constructors and the genetic search's repair
+share them with ``apply_move``.
 """
 
 from __future__ import annotations
@@ -134,8 +138,34 @@ class Tour:
         return f"Tour(cost={self.cost}, seq={self.seq})"
 
 
-def _rev(chunk):
-    return chunk[::-1]
+def insert_pair(seq, x: int, nx: int, ip: int, jp: int) -> None:
+    """Splices x and nx into ``seq`` in place at the slots an insertion
+    scan chose: together after seq[ip] when ip == jp, otherwise x after
+    seq[ip] and nx after seq[jp]."""
+    if ip == jp:
+        seq[ip + 1 : ip + 1] = (x, nx)
+    else:
+        seq[jp + 1 : jp + 1] = (nx,)
+        seq[ip + 1 : ip + 1] = (x,)
+
+
+# The blocks P2 P3 P4 that a 4-opt move puts between P1 and P5, as
+# (block, reversed) in their new order; see neighborhoods/fouropt.py.
+_FOUR_OPT_BLOCKS = {
+    "4opt-type1": ((2, False), (1, False), (0, False)),
+    "4opt-type2a": ((1, True), (2, True), (0, False)),
+    "4opt-type2b": ((2, False), (0, True), (1, True)),
+}
+
+
+def four_opt_splice(seq, kind: str, cuts) -> list:
+    """The sequence after a 4-opt move of ``kind`` with cuts (i1, i2, j1, j2)."""
+    i1, i2, j1, j2 = cuts
+    blocks = (seq[i1 + 1 : i2 + 1], seq[i2 + 1 : j1 + 1], seq[j1 + 1 : j2 + 1])
+    out = seq[: i1 + 1]
+    for b, rev in _FOUR_OPT_BLOCKS[kind]:
+        out += blocks[b][::-1] if rev else blocks[b]
+    return out + seq[j2 + 1 :]
 
 
 def apply_move(inst: Instance, tour: Tour, move: MoveDelta) -> None:
@@ -163,11 +193,7 @@ def apply_move(inst: Instance, tour: Tour, move: MoveDelta) -> None:
             x, nx = nx, x
         del seq[j]
         del seq[i]
-        if ip == jp:
-            seq[ip + 1 : ip + 1] = [x, nx]
-        else:
-            seq[jp + 1 : jp + 1] = [nx]
-            seq[ip + 1 : ip + 1] = [x]
+        insert_pair(seq, x, nx, ip, jp)
     elif kind == "or-opt":
         a, L, t, rev = move.indices
         chunk = seq[a : a + L]
@@ -177,33 +203,8 @@ def apply_move(inst: Instance, tour: Tour, move: MoveDelta) -> None:
         seq[t + 1 : t + 1] = chunk
     elif kind in ("2k-opt", "bs"):
         tour.seq = seq = list(move.seq_after)
-    elif kind == "4opt-type1":
-        i1, i2, j1, j2 = move.indices
-        tour.seq = seq = (
-            seq[: i1 + 1]
-            + seq[j1 + 1 : j2 + 1]
-            + seq[i2 + 1 : j1 + 1]
-            + seq[i1 + 1 : i2 + 1]
-            + seq[j2 + 1 :]
-        )
-    elif kind == "4opt-type2a":
-        i1, i2, j1, j2 = move.indices
-        tour.seq = seq = (
-            seq[: i1 + 1]
-            + _rev(seq[i2 + 1 : j1 + 1])
-            + _rev(seq[j1 + 1 : j2 + 1])
-            + seq[i1 + 1 : i2 + 1]
-            + seq[j2 + 1 :]
-        )
-    elif kind == "4opt-type2b":
-        i1, i2, j1, j2 = move.indices
-        tour.seq = seq = (
-            seq[: i1 + 1]
-            + seq[j1 + 1 : j2 + 1]
-            + _rev(seq[i1 + 1 : i2 + 1])
-            + _rev(seq[i2 + 1 : j1 + 1])
-            + seq[j2 + 1 :]
-        )
+    elif kind in _FOUR_OPT_BLOCKS:
+        tour.seq = seq = four_opt_splice(seq, kind, move.indices)
     else:
         raise ValueError(f"unknown move kind {kind!r}")
 

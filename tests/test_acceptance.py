@@ -30,8 +30,11 @@ from pdtsp_kit.neighborhoods import (
     two_k_opt_best,
 )
 from pdtsp_kit.neighborhoods.fouropt import _delta_tables, _prefix_tables
-from pdtsp_kit.neighborhoods.oracles import bs_oracle, two_k_opt_oracle
-from pdtsp_kit.neighborhoods.relocate import relocate_pair_best_naive
+from pdtsp_kit.neighborhoods.oracles import (
+    bs_oracle,
+    relocate_pair_best_naive,
+    two_k_opt_oracle,
+)
 from pdtsp_kit.oracle import MAX_PAIRS, brute_force_optimal
 from pdtsp_kit.search import local_search, phase_one_sweep
 from pdtsp_kit.tour import Tour, check_precedence, tour_cost

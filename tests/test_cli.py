@@ -104,6 +104,21 @@ def test_malformed_reference_line_named(capsys, tmp_path):
     ]
 
 
+@pytest.mark.parametrize("cost", ["nan", "inf", "-inf"])
+def test_nonfinite_reference_cost_named(capsys, tmp_path, cost):
+    path = gen_instances(capsys, tmp_path, count=1, n=3)[0]
+    refs = tmp_path / "refs.csv"
+    refs.write_text(f"foo,12\nbar,{cost}\n")
+    code, out, err = run_cli(
+        capsys, ["solve", str(path), "--method", "ls-only", "--ref", str(refs)]
+    )
+    assert code == 2
+    assert out == []
+    assert err.splitlines() == [
+        f"pdtsp: {refs}: line 2: expected a finite number, got '{cost}'"
+    ]
+
+
 def test_gen_writes_parseable_files(capsys, tmp_path):
     paths = gen_instances(capsys, tmp_path)
     for p in paths:

@@ -83,7 +83,6 @@ def test_partner_and_end():
     with pytest.raises(ValueError):
         inst.partner(0)
     assert inst.end == 0
-    assert inst.pair_of == (None, 3, 4, 1, 2)
     opened = Instance(
         2, build_cost_matrix([(0, 0), (1, 0), (2, 0), (3, 0), (4, 0)]), mode="open"
     )

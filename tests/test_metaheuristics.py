@@ -289,6 +289,8 @@ def test_hgs_params_validation():
     with pytest.raises(ValueError):
         HgsParams(mu=1, max_no_improve=1)
     with pytest.raises(ValueError):
+        HgsParams(mu=2, lam=1, max_no_improve=5)
+    with pytest.raises(ValueError):
         HgsParams(mu=5, mu_elite=6, max_no_improve=1)
     with pytest.raises(ValueError):
         HgsParams(lam=0, max_no_improve=1)

@@ -5,14 +5,14 @@ import random
 import pytest
 
 from pdtsp_kit.neighborhoods import or_opt_scan, relocate_pair_best, two_opt_scan
-from pdtsp_kit.neighborhoods.relocate import (
-    best_insertion,
+from pdtsp_kit.neighborhoods.relocate import best_insertion
+from pdtsp_kit.neighborhoods.oracles import (
     best_insertion_naive,
-    insert_pair,
+    or_opt_oracle,
     relocate_pair_best_naive,
+    two_opt_oracle,
 )
-from pdtsp_kit.neighborhoods.oracles import or_opt_oracle, two_opt_oracle
-from pdtsp_kit.tour import Tour, apply_move, tour_cost
+from pdtsp_kit.tour import Tour, apply_move, insert_pair, tour_cost
 from helpers import euclid_instance, float_instance, random_feasible_tour
 
 

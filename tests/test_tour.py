@@ -129,15 +129,22 @@ def test_apply_seq_after_kinds():
     assert t.pos[2] == 1
 
 
-def test_apply_four_opt_type1():
+@pytest.mark.parametrize("kind", ["4opt-type1", "4opt-type2a", "4opt-type2b"])
+def test_apply_four_opt(kind):
     rng = random.Random(11)
     inst = euclid_instance(rng, 4)
     t = Tour.identity(inst)
     i1, i2, j1, j2 = 1, 3, 5, 7
     s = t.seq
-    expect = s[:2] + s[6:8] + s[4:6] + s[2:4] + s[8:]
+    # The patterns of the fouropt.py docstring; r() is a reversed block.
+    P1, P2, P3, P4, P5 = s[:2], s[2:4], s[4:6], s[6:8], s[8:]
+    expect = {
+        "4opt-type1": P1 + P4 + P3 + P2 + P5,
+        "4opt-type2a": P1 + P3[::-1] + P4[::-1] + P2 + P5,
+        "4opt-type2b": P1 + P4 + P2[::-1] + P3[::-1] + P5,
+    }[kind]
     delta = tour_cost(inst, expect) - t.cost
-    apply_move(inst, t, MoveDelta("4opt-type1", (i1, i2, j1, j2), delta, True))
+    apply_move(inst, t, MoveDelta(kind, (i1, i2, j1, j2), delta, True))
     assert t.seq == expect
 
 
