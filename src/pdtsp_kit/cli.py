@@ -10,6 +10,7 @@ with the file and line, and the exit status is 2.
 from __future__ import annotations
 
 import argparse
+import math
 import pathlib
 import random
 import sys
@@ -58,6 +59,30 @@ def parse_seeds(text: str) -> list:
     if not seeds:
         raise argparse.ArgumentTypeError(f"no seeds in {text!r}")
     return seeds
+
+
+def _checked(kind, ok, need: str):
+    """An argparse type: a ``kind`` number for which ``ok`` holds.
+
+    The checks mirror ``SearchParams`` and ``RrParams``, and budgets
+    must be positive (a spent budget only returns the greedy tour), so
+    an out-of-range flag is a usage error before anything runs.
+    """
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            what = "an integer" if kind is int else "a number"
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}") from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {need}, got {text!r}")
+        return value
+
+    return parse
+
+
+_AT_LEAST_ONE = _checked(int, lambda v: v >= 1, "at least 1")
 
 
 def _fmt_cost(value) -> str:
@@ -268,17 +293,33 @@ def _add_run_flags(sub):
     sub.add_argument(
         "--seeds", type=parse_seeds, default="1", help="e.g. 3, 1,2,5 or 1..10"
     )
-    sub.add_argument("--tmax", type=float, default=None, help="wall clock budget, seconds")
+    sub.add_argument(
+        "--tmax",
+        type=_checked(float, lambda v: 0 < v < math.inf, "a positive number"),
+        default=None,
+        help="wall clock budget, seconds",
+    )
     sub.add_argument(
         "--budget-noimprove",
-        type=int,
+        type=_AT_LEAST_ONE,
         default=None,
         help="stop hgs after this many children without a new best",
     )
-    sub.add_argument("--iters", type=int, default=10000, help="rr iteration budget")
-    sub.add_argument("--kor", type=int, default=30)
-    sub.add_argument("--kbs", type=int, default=3)
-    sub.add_argument("--plarge", type=float, default=0.1)
+    sub.add_argument(
+        "--iters",
+        type=_checked(int, lambda v: v >= 0, "at least 0"),
+        default=10000,
+        help="rr iteration budget",
+    )
+    sub.add_argument("--kor", type=_AT_LEAST_ONE, default=30)
+    sub.add_argument(
+        "--kbs", type=_checked(int, lambda v: 1 <= v <= 12, "from 1 to 12"), default=3
+    )
+    sub.add_argument(
+        "--plarge",
+        type=_checked(float, lambda v: 0 <= v <= 1, "from 0 to 1"),
+        default=0.1,
+    )
     sub.add_argument("--ref", default=None, help="csv of instance,cost references")
     sub.add_argument("--out", default=None, help="directory for solution files")
 
@@ -304,8 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench.set_defaults(func=cmd_bench)
 
     gen = sub.add_parser("gen", help="generate instances")
-    gen.add_argument("--n", type=int, default=10, help="pairs per instance")
-    gen.add_argument("--count", type=int, default=1)
+    gen.add_argument("--n", type=_AT_LEAST_ONE, default=10, help="pairs per instance")
+    gen.add_argument("--count", type=_AT_LEAST_ONE, default=1)
     gen.add_argument("--group", choices=["A", "B", "C"], default="C")
     gen.add_argument("--seed", type=int, default=1)
     gen.add_argument("--mode", choices=["closed", "open"], default="closed")

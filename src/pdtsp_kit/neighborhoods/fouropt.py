@@ -11,17 +11,22 @@ and ``tour.four_opt_splice`` realizes them.
 
 Each pattern's gain splits into a term depending on (i2, j2) and a term
 depending on (i1, j1), so for every (i2, j2) the best partner cut is a
-prefix minimum over earlier (i1, j1). Only the cheapest partner is then
+minimum over earlier (i1, j1). The scan makes one pass over i2 and
+keeps no quadratic cost table: it builds row i2 of the two delta tables
+as it goes, holds the minimum over i1 < i2 of each column in an O(n)
+row folded forward from row i2 - 1, and takes the minimum over j1 as a
+running value while j2 ascends. Only the cheapest partner is then
 tested for precedence feasibility, using two O(1) tables: Rev marks
 segments safe to reverse (no complete pair inside) and Last gives the
 latest outside pickup serving a delivery inside a segment. Deliveries
 moved ahead of blocks they depended on are rejected; a segment may only
 jump ahead of everything after i1 if all its deliveries' pickups sit in
-P1.
+P1. At each (i2, j2) the types are tried in the order 1, 2a, 2b, and a
+candidate replaces the best move so far only if it is strictly cheaper.
 
-The scan returns improving moves only. The mutation helper reuses the
-type-1 tables without any feasibility filtering, which is also safe on
-precedence-violating sequences.
+The scan returns improving moves only. The mutation helper walks the
+same rows for type 1 without any feasibility filtering, which is also
+safe on precedence-violating sequences.
 """
 
 from __future__ import annotations
@@ -34,59 +39,47 @@ from ..tour import MoveDelta, Tour
 _KINDS = ("4opt-type1", "4opt-type2a", "4opt-type2b")
 
 
-def _delta_tables(w, seq, top):
-    # dd[i][j]: replace edges (i,i+1),(j,j+1) by (i,j+1),(i+1,j).
-    # dc[i][j]: replace them by (i,j),(i+1,j+1).
-    dd = [[0] * top for _ in range(top)]
-    dc = [[0] * top for _ in range(top)]
+def _partner_rows(w, seq, top):
+    """Rows of the two delta tables with their partner minima, by i2.
+
+    dd[i][j] replaces edges (i,i+1),(j,j+1) by (i,j+1),(i+1,j), and
+    dc[i][j] replaces them by (i,j),(i+1,j+1). For i2 = 1 .. top-2 this
+    yields (i2, dd[i2], dc[i2], min_d, arg_d, min_c, arg_c): min_d[j1]
+    is the minimum of dd[i1][j1] over i1 < i2 and arg_d[j1] the first
+    i1 reaching it, likewise for dc, valid for j1 > i2. Row i is built
+    for j > i and then folded into the minima on the next step, in
+    place, so the yielded lists change once the caller moves on.
+    """
+    min_d = [math.inf] * top
+    arg_d = [0] * top
+    min_c = [math.inf] * top
+    arg_c = [0] * top
+    prev_d = prev_c = min_d[:]
     for i in range(top - 1):
         si, si1 = seq[i], seq[i + 1]
         wi, wi1 = w[si], w[si1]
         base = wi[si1]
-        row_d = dd[i]
-        row_c = dc[i]
+        row_d = [0] * top
+        row_c = [0] * top
+        h = i - 1
+        # Fold row h into the minima and build row i in one sweep.
         for j in range(i + 1, top):
+            v = prev_d[j]
+            if v < min_d[j]:
+                min_d[j] = v
+                arg_d[j] = h
+            v = prev_c[j]
+            if v < min_c[j]:
+                min_c[j] = v
+                arg_c[j] = h
             sj, sj1 = seq[j], seq[j + 1]
             drop = base + w[sj][sj1]
             row_d[j] = wi[sj1] + wi1[sj] - drop
             row_c[j] = wi[sj] + wi1[sj1] - drop
-    return dd, dc
-
-
-def _prefix_tables(delta, top):
-    # sub[i2][j1] = min over i1 < i2 of delta[i1][j1], with its argmin.
-    # full[i2][j2] = min over j1 in (i2, j2) of sub[i2][j1], with (i1, j1).
-    sub = [[math.inf] * top for _ in range(top)]
-    sub_arg = [[0] * top for _ in range(top)]
-    for i2 in range(1, top - 1):
-        prev = sub[i2 - 1] if i2 > 1 else None
-        row = sub[i2]
-        arg = sub_arg[i2]
-        for j1 in range(i2 + 1, top):
-            cand = delta[i2 - 1][j1]
-            if prev is None or cand < prev[j1]:
-                row[j1] = cand
-                arg[j1] = i2 - 1
-            else:
-                row[j1] = prev[j1]
-                arg[j1] = sub_arg[i2 - 1][j1]
-    full = [[math.inf] * (top + 1) for _ in range(top)]
-    full_arg = [[(0, 0)] * (top + 1) for _ in range(top)]
-    for i2 in range(1, top - 1):
-        srow = sub[i2]
-        sarg = sub_arg[i2]
-        frow = full[i2]
-        farg = full_arg[i2]
-        best = math.inf
-        best_arg = (0, 0)
-        for j2 in range(i2 + 2, top + 1):
-            j1 = j2 - 1
-            if srow[j1] < best:
-                best = srow[j1]
-                best_arg = (sarg[j1], j1)
-            frow[j2] = best
-            farg[j2] = best_arg
-    return full, full_arg
+        if i:
+            yield i, row_d, row_c, min_d, arg_d, min_c, arg_c
+        prev_d = row_d
+        prev_c = row_c
 
 
 def _feasibility_tables(seq, pos, n, top):
@@ -125,45 +118,56 @@ def four_opt_best(inst: Instance, tour: Tour) -> MoveDelta:
         return empty
 
     w = inst.work_cost()
-    dd, dc = _delta_tables(w, seq, top)
-    sub_d, arg_d = _prefix_tables(dd, top)
-    sub_c, arg_c = _prefix_tables(dc, top)
     rev, last = _feasibility_tables(seq, pos, n, top)
 
     best = empty
     best_delta = -eps
-    for i2 in range(1, top - 2):
-        base_d = dd[i2]
-        base_c = dc[i2]
-        phi_d = sub_d[i2]
-        phi_c = sub_c[i2]
-        parg_d = arg_d[i2]
-        parg_c = arg_c[i2]
+    for i2, base_d, base_c, min_d, arg_d, min_c, arg_c in _partner_rows(w, seq, top):
+        last3 = last[i2 + 1]  # P3 starts at i2 + 1
+        rev3 = rev[i2 + 1]
+        # Running minima over j1 in (i2, j2) of the partner minima.
+        phi_d = phi_c = math.inf
+        i1_d = j1_d = i1_c = j1_c = 0
         for j2 in range(i2 + 2, top):
-            cands = (
-                (base_d[j2] + phi_d[j2], parg_d[j2], 0),
-                (base_d[j2] + phi_c[j2], parg_c[j2], 1),
-                (base_c[j2] + phi_d[j2], parg_d[j2], 2),
-            )
-            for total, (i1, j1), ttype in cands:
-                if total >= best_delta:
-                    continue
-                p3_ok = last[i2 + 1][j1] <= i1
-                p4_ok = last[j1 + 1][j2] <= i1
-                if ttype == 0:
-                    ok = p3_ok and p4_ok
-                elif ttype == 1:
-                    ok = (
-                        p3_ok
-                        and p4_ok
-                        and rev[i2 + 1][j1]
-                        and rev[j1 + 1][j2]
-                    )
-                else:
-                    ok = p4_ok and rev[i1 + 1][i2] and rev[i2 + 1][j1]
-                if ok:
-                    best_delta = total
-                    best = MoveDelta(_KINDS[ttype], (i1, i2, j1, j2), total, True)
+            j1 = j2 - 1
+            v = min_d[j1]
+            if v < phi_d:
+                phi_d = v
+                i1_d = arg_d[j1]
+                j1_d = j1
+            v = min_c[j1]
+            if v < phi_c:
+                phi_c = v
+                i1_c = arg_c[j1]
+                j1_c = j1
+            d = base_d[j2]
+            total = d + phi_d
+            if (
+                total < best_delta
+                and last3[j1_d] <= i1_d
+                and last[j1_d + 1][j2] <= i1_d
+            ):
+                best_delta = total
+                best = MoveDelta(_KINDS[0], (i1_d, i2, j1_d, j2), total, True)
+            total = d + phi_c
+            if (
+                total < best_delta
+                and last3[j1_c] <= i1_c
+                and last[j1_c + 1][j2] <= i1_c
+                and rev3[j1_c]
+                and rev[j1_c + 1][j2]
+            ):
+                best_delta = total
+                best = MoveDelta(_KINDS[1], (i1_c, i2, j1_c, j2), total, True)
+            total = base_c[j2] + phi_d
+            if (
+                total < best_delta
+                and last[j1_d + 1][j2] <= i1_d
+                and rev[i1_d + 1][i2]
+                and rev3[j1_d]
+            ):
+                best_delta = total
+                best = MoveDelta(_KINDS[2], (i1_d, i2, j1_d, j2), total, True)
     return best
 
 
@@ -172,26 +176,28 @@ def four_opt_type1_any(inst: Instance, seq):
 
     Works on a bare sequence, so crossover offspring that violate
     precedence can be perturbed before repair. Returns (delta,
-    (i1, i2, j1, j2)) or None when the tour is too short. It keeps its
-    own loop because ``four_opt_best`` weighs the three types together
-    at each (i2, j2), so their tie order depends on that shared loop.
+    (i1, i2, j1, j2)) or None when the tour is too short. It shares the
+    rows of ``_partner_rows`` but keeps its own j2 loop, because
+    ``four_opt_best`` weighs the three types together at each (i2, j2),
+    so their tie order depends on that loop.
     """
     top = len(seq) - 1
     if top - 1 < 5:
         return None
     w = inst.work_cost()
-    dd, _ = _delta_tables(w, seq, top)
-    sub_d, arg_d = _prefix_tables(dd, top)
     best = math.inf
     best_move = None
-    for i2 in range(1, top - 2):
-        base = dd[i2]
-        phi = sub_d[i2]
-        parg = arg_d[i2]
+    for i2, base, _, min_d, arg_d, _, _ in _partner_rows(w, seq, top):
+        phi = math.inf
+        i1 = j1 = 0
         for j2 in range(i2 + 2, top):
-            total = base[j2] + phi[j2]
+            v = min_d[j2 - 1]
+            if v < phi:
+                phi = v
+                i1 = arg_d[j2 - 1]
+                j1 = j2 - 1
+            total = base[j2] + phi
             if total < best:
                 best = total
-                i1, j1 = parg[j2]
                 best_move = (i1, i2, j1, j2)
     return best, best_move

@@ -10,6 +10,13 @@ delivery it serves or seq[j] past its pickup; nested flips cannot undo
 that. The root F over the full tour is never positive because shrinking
 to the empty interval gains zero.
 
+The tables are filled row by row, i descending and j ascending. Cell
+(i, j) reads only row i + 1 and the cells of row i left of j, so two
+rows of F and R are live at a time, and the 2-opt gain on (i, j) comes
+from the two rows of the cost matrix at seq[i] and seq[i+1]. The case
+tables are kept whole for decoding, as is the table of blocked
+reversals.
+
 Decoding walks the chosen cases back into an explicit sequence, so one
 call yields both the gain and the reordered tour.
 """
@@ -20,7 +27,6 @@ import math
 
 from ..instance import Instance
 from ..tour import MoveDelta, Tour
-from .twoopt import two_opt_delta
 
 
 def two_k_opt_best(inst: Instance, tour: Tour) -> MoveDelta:
@@ -32,50 +38,67 @@ def two_k_opt_best(inst: Instance, tour: Tour) -> MoveDelta:
     w = inst.work_cost()
 
     size = top + 1
-    F = [[0] * size for _ in range(size)]
     FC = [[0] * size for _ in range(size)]
-    R = [[0] * size for _ in range(size)]
     RC = [[0] * size for _ in range(size)]
     blocked = [[False] * size for _ in range(size)]
 
-    # R's guard depends only on the interval ends.
-    for i in range(1, top):
-        vi = seq[i]
-        pick_i = vi <= n
-        for j in range(i, top):
-            vj = seq[j]
-            if (pick_i and pos[vi + n] <= j) or (vj > n and pos[vj - n] >= i):
-                blocked[i][j] = True
+    # R's guard depends only on the interval ends: seq[i] a pickup whose
+    # delivery lies at j or before, or seq[j] a delivery whose pickup
+    # lies at i or after.
+    for t in range(1, top):
+        v = seq[t]
+        if v <= n:
+            p = pos[v + n]
+            blocked[t][p:top] = [True] * (top - p)
+        else:
+            for i in range(1, pos[v - n] + 1):
+                blocked[i][t] = True
 
-    for span in range(2, top + 1):
-        for i in range(0, top - span + 1):
-            j = i + span
-            d2 = two_opt_delta(w, seq, i, j)
-            best = F[i + 1][j]
+    # F_in and R_in hold row i + 1; intervals shorter than 2 gain 0.
+    wrow = [w[v] for v in seq]
+    F_in = [0] * size
+    R_in = [0] * size
+    for i in range(top - 2, -1, -1):
+        F_i = [0] * size
+        R_i = [0] * size
+        FC_i = FC[i]
+        RC_i = RC[i]
+        B_i = blocked[i]
+        B_in = blocked[i + 1]
+        w_i = wrow[i]
+        w_in = wrow[i + 1]
+        c_i = w_i[seq[i + 1]]
+        for j in range(i + 2, size):
+            s_jm = seq[j - 1]
+            s_j = seq[j]
+            d2 = w_i[s_jm] + w_in[s_j] - c_i - wrow[j - 1][s_j]
+            best = F_in[j]
             case = 1
-            alt = F[i][j - 1]
+            alt = F_i[j - 1]
             if alt < best:
                 best, case = alt, 2
-            if 1 <= i + 1 and j - 1 <= top - 1 and not blocked[i + 1][j - 1]:
-                alt = d2 + R[i + 1][j - 1]
+            if not B_in[j - 1]:
+                alt = d2 + R_in[j - 1]
                 if alt < best:
                     best, case = alt, 3
-            F[i][j] = best
-            FC[i][j] = case
+            F_i[j] = best
+            FC_i[j] = case
 
-            if 1 <= i and j <= top - 1 and not blocked[i][j]:
-                best = R[i + 1][j] if not blocked[i + 1][j] else math.inf
+            if i and j < top and not B_i[j]:
+                best = R_in[j] if not B_in[j] else math.inf
                 case = 1
-                alt = R[i][j - 1] if not blocked[i][j - 1] else math.inf
+                alt = R_i[j - 1] if not B_i[j - 1] else math.inf
                 if alt < best:
                     best, case = alt, 2
-                alt = d2 + F[i + 1][j - 1]
+                alt = d2 + F_in[j - 1]
                 if alt < best:
                     best, case = alt, 3
-                R[i][j] = best
-                RC[i][j] = case
+                R_i[j] = best
+                RC_i[j] = case
+        F_in = F_i
+        R_in = R_i
 
-    delta = F[0][top]
+    delta = F_in[top]
     out = []
     flips = []
     stack = [("F", 0, top)]

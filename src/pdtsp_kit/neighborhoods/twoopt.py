@@ -15,15 +15,6 @@ from ..instance import Instance
 from ..tour import MoveDelta, Tour
 
 
-def two_opt_delta(w, seq, i: int, j: int):
-    return (
-        w[seq[i]][seq[j - 1]]
-        + w[seq[i + 1]][seq[j]]
-        - w[seq[i]][seq[i + 1]]
-        - w[seq[j - 1]][seq[j]]
-    )
-
-
 def two_opt_scan(inst: Instance, tour: Tour, i: int) -> MoveDelta:
     """Best 2-opt whose left edge starts at position i, or an empty move.
 

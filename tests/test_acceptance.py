@@ -10,6 +10,7 @@ apart from wall-clock measurements.
 """
 
 import gc
+import math
 import random
 import statistics
 import time
@@ -29,7 +30,7 @@ from pdtsp_kit.neighborhoods import (
     relocate_pair_best,
     two_k_opt_best,
 )
-from pdtsp_kit.neighborhoods.fouropt import _delta_tables, _prefix_tables
+from pdtsp_kit.neighborhoods.fouropt import _partner_rows
 from pdtsp_kit.neighborhoods.oracles import (
     bs_oracle,
     relocate_pair_best_naive,
@@ -252,21 +253,56 @@ def test_segment_exchange_tables_and_moves_validate():
         seq = tour.seq
         top = len(seq) - 1
         w = inst.work_cost()
-        dd, dc = _delta_tables(w, seq, top)
+        # dd: replace edges (i,i+1),(j,j+1) by (i,j+1),(i+1,j);
+        # dc: replace them by (i,j),(i+1,j+1).
+        def edge_pair(i, j):
+            return w[seq[i]][seq[i + 1]] + w[seq[j]][seq[j + 1]]
 
-        for delta in (dd, dc):
-            full, full_arg = _prefix_tables(delta, top)
-            for i2 in range(1, top - 1):
+        dd = [
+            [
+                w[seq[i]][seq[j + 1]] + w[seq[i + 1]][seq[j]] - edge_pair(i, j)
+                for j in range(top)
+            ]
+            for i in range(top)
+        ]
+        dc = [
+            [
+                w[seq[i]][seq[j]] + w[seq[i + 1]][seq[j + 1]] - edge_pair(i, j)
+                for j in range(top)
+            ]
+            for i in range(top)
+        ]
+
+        steps = []
+        for i2, row_d, row_c, min_d, arg_d, min_c, arg_c in _partner_rows(
+            w, seq, top
+        ):
+            steps.append(i2)
+            for delta, row, mins, args in (
+                (dd, row_d, min_d, arg_d),
+                (dc, row_c, min_c, arg_c),
+            ):
+                for j2 in range(i2 + 2, top):
+                    assert row[j2] == delta[i2][j2]
+                # The partner minimum over j1 in (i2, j2), taken as the
+                # scan takes it: a running minimum over the column minima.
+                full = math.inf
+                full_arg = (0, 0)
                 for j2 in range(i2 + 2, top + 1):
+                    j1 = j2 - 1
+                    if mins[j1] < full:
+                        full = mins[j1]
+                        full_arg = (args[j1], j1)
                     direct = min(
                         delta[i1][j1]
                         for i1 in range(i2)
                         for j1 in range(i2 + 1, j2)
                     )
-                    assert full[i2][j2] == direct
-                    i1, j1 = full_arg[i2][j2]
+                    assert full == direct
+                    i1, j1 = full_arg
                     assert delta[i1][j1] == direct
                     assert 0 <= i1 < i2 < j1 < j2
+        assert steps == list(range(1, top - 1))
 
         mv = four_opt_best(inst, tour)
         if mv.feasible:

@@ -69,6 +69,60 @@ def test_parse_seeds_rejects_empty_and_malformed_lists(capsys):
     assert "--seeds: no seeds in '5..1'" in captured.err
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--kor", "0"], "argument --kor: must be at least 1, got '0'"),
+        (["--kor", "1.5"], "argument --kor: expected an integer, got '1.5'"),
+        (["--kbs", "13"], "argument --kbs: must be from 1 to 12, got '13'"),
+        (["--kbs", "0"], "argument --kbs: must be from 1 to 12, got '0'"),
+        (["--plarge", "2"], "argument --plarge: must be from 0 to 1, got '2'"),
+        (["--plarge", "nan"], "argument --plarge: must be from 0 to 1, got 'nan'"),
+        (
+            ["--method", "rr-fast", "--iters", "-1"],
+            "argument --iters: must be at least 0, got '-1'",
+        ),
+        (["--tmax", "-1"], "argument --tmax: must be a positive number, got '-1'"),
+        (["--tmax", "0"], "argument --tmax: must be a positive number, got '0'"),
+        (["--tmax", "inf"], "argument --tmax: must be a positive number, got 'inf'"),
+        (
+            ["--budget-noimprove", "-3"],
+            "argument --budget-noimprove: must be at least 1, got '-3'",
+        ),
+    ],
+)
+def test_out_of_range_solve_flags_are_usage_errors(capsys, tmp_path, flags, message):
+    paths = gen_instances(capsys, tmp_path, count=1)
+    out_dir = tmp_path / "sols"
+    with pytest.raises(SystemExit) as err:
+        main(["solve", str(paths[0]), "--out", str(out_dir)] + flags)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+    assert "Traceback" not in captured.err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--n", "0"], "argument --n: must be at least 1, got '0'"),
+        (["--count", "0"], "argument --count: must be at least 1, got '0'"),
+        (["--count", "-2"], "argument --count: must be at least 1, got '-2'"),
+    ],
+)
+def test_out_of_range_gen_flags_are_usage_errors(capsys, tmp_path, flags, message):
+    out_dir = tmp_path / "inst"
+    with pytest.raises(SystemExit) as err:
+        main(["gen", "--out", str(out_dir)] + flags)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+    assert not out_dir.exists()
+
+
 def test_malformed_instance_reported_on_one_line(capsys, tmp_path):
     path = gen_instances(capsys, tmp_path, count=1)[0]
     lines = path.read_text().splitlines()

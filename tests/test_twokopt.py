@@ -24,6 +24,27 @@ def test_matches_enumeration_small():
                 assert mv.indices == ref.indices
 
 
+def test_matches_enumeration_open_and_float():
+    rng = random.Random(53)
+    for n in (3, 5, 7):
+        for build, mode in (
+            (euclid_instance, "open"),
+            (float_instance, "closed"),
+            (float_instance, "open"),
+        ):
+            inst = build(rng, n, mode=mode)
+            for _ in range(2):
+                tour = random_feasible_tour(rng, inst)
+                mv = two_k_opt_best(inst, tour)
+                ref = two_k_opt_oracle(inst, tour)
+                assert mv.seq_after == ref.seq_after
+                if build is euclid_instance:
+                    assert mv.delta == ref.delta
+                    assert mv.indices == ref.indices
+                else:
+                    assert mv.delta == pytest.approx(ref.delta, rel=1e-9, abs=1e-7)
+
+
 def test_root_never_positive_and_apply_consistent():
     rng = random.Random(51)
     for mode in ("closed", "open"):
