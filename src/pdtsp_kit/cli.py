@@ -28,7 +28,7 @@ from .instance import (
 )
 from .metaheuristics import HgsParams, RrParams, greedy_construct, hgs_run, rr_run
 from .neighborhoods import SearchParams
-from .oracle import brute_force_optimal
+from .oracle import MAX_PAIRS, brute_force_optimal
 from .search import local_search, phase_one_sweep
 from .tour import Tour
 
@@ -160,6 +160,13 @@ def run_method(inst: Instance, method: str, seed: int, args):
 
 
 def _emit_rows(instances, args, out):
+    if args.method == "oracle":
+        for inst in instances:
+            if inst.n_pairs > MAX_PAIRS:
+                raise InputError(
+                    f"{inst.name}: method oracle is limited to {MAX_PAIRS} pairs,"
+                    f" got {inst.n_pairs}"
+                )
     refs = load_refs(args.ref) if args.ref else {}
     out_dir = pathlib.Path(args.out) if args.out else None
     if out_dir is not None:
@@ -267,21 +274,26 @@ def cmd_gen(args, out=None) -> int:
     out = out if out is not None else sys.stdout
     coords = _read_input(args.coords, parse_points) if args.coords else None
     out_dir = pathlib.Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     rng = random.Random(args.seed)
     for idx in range(args.count):
         pts = coords or [
             (rng.randint(0, 1000), rng.randint(0, 1000)) for _ in range(2 * args.n + 1)
         ]
         name = f"{args.name}-{args.group}{idx}"
-        inst = generate_pairs(
-            pts,
-            args.group,
-            rng,
-            mode=args.mode,
-            rounding=args.rounding,
-            name=name,
-        )
+        try:
+            inst = generate_pairs(
+                pts,
+                args.group,
+                rng,
+                mode=args.mode,
+                rounding=args.rounding,
+                name=name,
+            )
+        except ValueError as err:
+            # Only points read from --coords can fail here: their
+            # distances may overflow.
+            raise InputError(f"{args.coords}: {err}") from None
+        out_dir.mkdir(parents=True, exist_ok=True)
         path = out_dir / f"{name}.pdtsp"
         path.write_text(render_instance(inst))
         print(f"wrote {path}", file=out)

@@ -263,6 +263,22 @@ def test_oracle_method_matches_library(capsys, tmp_path):
     assert int(out[2].split(",")[3]) == brute_force_optimal(inst).cost
 
 
+@pytest.mark.parametrize("command", ["solve", "bench"])
+def test_oracle_method_over_the_pair_cap_is_refused_up_front(capsys, tmp_path, command):
+    path = gen_instances(capsys, tmp_path, count=1, n=9)[0]
+    target = [str(path)] if command == "solve" else ["--dir", str(path.parent)]
+    sol_dir = tmp_path / "sols"
+    code, out, err = run_cli(
+        capsys, [command, *target, "--method", "oracle", "--out", str(sol_dir)]
+    )
+    assert code == 2
+    assert out == []
+    assert err.splitlines() == [
+        "pdtsp: t-C0: method oracle is limited to 8 pairs, got 9"
+    ]
+    assert not sol_dir.exists()
+
+
 def test_hgs_smoke_with_no_improve_budget(capsys, tmp_path):
     paths = gen_instances(capsys, tmp_path, count=1, n=4)
     _, out, _ = run_cli(
@@ -359,6 +375,37 @@ def test_gen_malformed_coords_named(capsys, tmp_path, text, line, msg):
     assert out == []
     assert err.splitlines() == [f"pdtsp: {coords}: line {line}: {msg}"]
     assert not d.exists()
+
+
+FAR_POINTS = "0 0\n1e200 0\n0 1e200\n"
+
+
+def test_gen_overflowing_coords_named(capsys, tmp_path):
+    coords = tmp_path / "far.txt"
+    coords.write_text(FAR_POINTS)
+    d = tmp_path / "never"
+    code, out, err = run_cli(capsys, ["gen", "--coords", str(coords), "--out", str(d)])
+    assert code == 2
+    assert out == []
+    assert err.splitlines() == [
+        f"pdtsp: {coords}: coordinates too far apart: a distance overflows"
+    ]
+    assert not d.exists()
+
+
+def test_solve_overflowing_coords_named(capsys, tmp_path):
+    path = tmp_path / "far.pdtsp"
+    lines = ["NAME far", "PAIRS 1", "MODE closed", "ROUNDING nearest",
+             "EDGE_SOURCE coords", "COORDS"]
+    lines += [f"{i} {p}" for i, p in enumerate(FAR_POINTS.splitlines())]
+    lines += ["PAIRING", "1 2", "EOF"]
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli(capsys, ["solve", str(path), "--method", "ls-only"])
+    assert code == 2
+    assert out == []
+    assert err.splitlines() == [
+        f"pdtsp: {path}: line 6: coordinates too far apart: a distance overflows"
+    ]
 
 
 def test_gen_reads_coords_once(capsys, tmp_path, monkeypatch):

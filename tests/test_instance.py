@@ -38,6 +38,15 @@ def test_build_cost_matrix_examples():
     assert build_cost_matrix([(0, 0), (1, 1)], "nearest") == [[0, 1], [1, 0]]
     exact = build_cost_matrix([(0, 0), (3, 4)], "none")
     assert exact[0][1] == pytest.approx(5.0)
+    # sqrt(1.5 * 1.5 + 2 * 2) is exactly 2.5, a half that rounds up.
+    assert build_cost_matrix([(0, 0), (1.5, 2)], "none")[0][1] == 2.5
+    assert build_cost_matrix([(0, 0), (1.5, 2)], "nearest") == [[0, 3], [3, 0]]
+
+
+@pytest.mark.parametrize("rounding", ["none", "nearest"])
+def test_build_cost_matrix_rejects_overflowing_distance(rounding):
+    with pytest.raises(ValueError, match="overflow"):
+        build_cost_matrix([(0, 0), (1e200, 0), (0, 1e200)], rounding)
 
 
 def test_build_cost_matrix_matches_integer_arithmetic():
@@ -72,8 +81,19 @@ def test_instance_validation():
         Instance(1, [[1, 1, 2], [1, 0, 1], [2, 1, 0]])  # diagonal
     with pytest.raises(ValueError):
         Instance(1, [[0, -1, 2], [-1, 0, 1], [2, 1, 0]])  # negative
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            Instance(1, [[0, 1, bad], [1, 0, 1], [bad, 1, 0]])
     with pytest.raises(ValueError):
         Instance(1, [[0, 1, 2], [1, 0, 1], [2, 1, 0]], mode="loop")
+
+
+def test_numpy_integer_costs_are_integral():
+    np = pytest.importorskip("numpy")
+    cost = [[np.int64(v) for v in row] for row in ([0, 1, 2], [1, 0, 1], [2, 1, 0])]
+    inst = Instance(1, cost)
+    assert inst.integral and inst.eps == 0
+    assert "MATRIX\n0 1 2\n" in render_instance(inst)
 
 
 def test_partner_and_end():
@@ -190,6 +210,32 @@ def test_parse_rejects_asymmetric_matrix():
     assert "symmetric" in str(err.value)
 
 
+def test_parse_reports_overflowing_distance_at_coords_line():
+    text = "\n".join([
+        "NAME far", "PAIRS 1", "MODE closed", "ROUNDING nearest",
+        "EDGE_SOURCE coords", "COORDS",
+        "0 0 0", "1 1e200 0", "2 0 1e200",
+        "PAIRING", "1 2", "EOF",
+    ])
+    with pytest.raises(FormatError) as err:
+        parse_instance(text)
+    assert err.value.line_no == 6
+    assert "overflow" in str(err.value)
+
+
+def test_parse_rejects_pairs_beyond_the_file_before_allocating():
+    # Were the 2 * 10**13 + 1 coordinate slots allocated, this would
+    # raise MemoryError instead.
+    text = "\n".join([
+        "NAME huge", "PAIRS 10000000000000", "MODE closed", "ROUNDING none",
+        "EDGE_SOURCE coords", "COORDS", "0 0 0", "PAIRING", "EOF",
+    ])
+    with pytest.raises(FormatError) as err:
+        parse_instance(text)
+    assert err.value.line_no == 2
+    assert "PAIRS" in str(err.value)
+
+
 def matrix_text(rows):
     return "\n".join(
         ["NAME m", "PAIRS 1", "MODE closed", "ROUNDING none", "EDGE_SOURCE matrix", "MATRIX"]
@@ -198,7 +244,9 @@ def matrix_text(rows):
     )
 
 
-@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1e999"])
+@pytest.mark.parametrize(
+    "bad", ["nan", "inf", "-inf", "1e999", pytest.param("9" * 400, id="int-beyond-float")]
+)
 def test_parse_rejects_nonfinite_coordinate_with_line(bad):
     lines = render_instance(euclid_instance(random.Random(3), 2)).splitlines()
     at = lines.index("COORDS") + 2
@@ -217,6 +265,10 @@ def test_parse_rejects_nonfinite_coordinate_with_line(bad):
         (["0 1 2", "1 0 inf", "2 inf 0"], 8, "finite"),
         (["0 1 2", "1 0 -1", "2 -1 0"], 8, "nonnegative"),
         (["0 1 2", "1 5 1", "2 1 0"], 8, "diagonal"),
+        pytest.param(
+            ["0 1.5 " + "9" * 400, "1.5 0 1", "9" * 400 + " 1 0"], 7, "finite",
+            id="int-beyond-float",
+        ),
     ],
 )
 def test_parse_rejects_bad_matrix_entry_with_line(rows, line_no, words):
