@@ -5,8 +5,8 @@ A single vehicle must visit 2n+1 locations: a depot (visit 0), n pickups
 with delivery x+n and must precede it. The package provides the data model
 and file formats, a tour representation, six precedence-aware improvement
 neighborhoods, a two-phase local search, ruin-and-recreate and hybrid
-genetic metaheuristics, an exact enumeration solver for small instances,
-and a command line front end.
+genetic metaheuristics, an exact dynamic program for instances of up to
+10 pairs, and a command line front end.
 
 The names below are the library quick start of the README; everything
 else is imported from its submodule (``pdtsp_kit.tour``,

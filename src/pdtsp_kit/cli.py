@@ -34,7 +34,7 @@ from .tour import Tour
 
 CSV_TAG = "# pdtsp-kit v1"
 CSV_HEADER = "instance,method,seed,cost,gap,ttb,total"
-METHODS = ("hgs", "rr", "rr-fast", "ls-only", "oracle")
+METHODS = ("hgs", "rr", "ls-only", "oracle")
 SCALING_SIZES = (128, 256, 512)
 
 
@@ -102,6 +102,17 @@ def _read_input(path, parse):
         raise InputError(f"{path}: {err}") from None
 
 
+def _make_dir(path) -> pathlib.Path:
+    """Creates an output directory, turning a failure (say, ``path`` is
+    an existing file) into an InputError that names it."""
+    out_dir = pathlib.Path(path)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise InputError(f"{path}: {err.strerror}") from None
+    return out_dir
+
+
 def _parse_refs(text: str) -> dict:
     """Reference costs, one 'name,cost' line each."""
     refs = {}
@@ -136,22 +147,16 @@ def run_method(inst: Instance, method: str, seed: int, args):
         stats = {}
         tour = hgs_run(inst, params, rng, stats)
         ttb = stats["ttb"]
-    elif method in ("rr", "rr-fast"):
-        params = RrParams(
-            iters=args.iters, tmax=args.tmax, fast=(method == "rr-fast")
-        )
+    elif method == "rr":
         stats = {}
-        tour = rr_run(inst, params, rng, stats)
+        tour = rr_run(inst, RrParams(iters=args.iters, tmax=args.tmax), rng, stats)
         ttb = stats["ttb"]
     elif method == "ls-only":
         tour = greedy_construct(inst, rng)
         local_search(inst, tour, sp, rng, use_large=True)
         ttb = time.perf_counter() - t0
     elif method == "oracle":
-        warm = greedy_construct(inst, rng)
-        local_search(inst, warm, sp, rng, use_large=True)
-        res = brute_force_optimal(inst, seed=warm)
-        tour = res.tour
+        tour = brute_force_optimal(inst)
         ttb = time.perf_counter() - t0
     else:
         raise ValueError(f"unknown method {method!r}")
@@ -168,9 +173,7 @@ def _emit_rows(instances, args, out):
                     f" got {inst.n_pairs}"
                 )
     refs = load_refs(args.ref) if args.ref else {}
-    out_dir = pathlib.Path(args.out) if args.out else None
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _make_dir(args.out) if args.out else None
     print(CSV_TAG, file=out)
     print(CSV_HEADER, file=out)
     rows = []
@@ -273,7 +276,6 @@ def _bench_scaling(args, out) -> int:
 def cmd_gen(args, out=None) -> int:
     out = out if out is not None else sys.stdout
     coords = _read_input(args.coords, parse_points) if args.coords else None
-    out_dir = pathlib.Path(args.out)
     rng = random.Random(args.seed)
     for idx in range(args.count):
         pts = coords or [
@@ -293,8 +295,7 @@ def cmd_gen(args, out=None) -> int:
             # Only points read from --coords can fail here: their
             # distances may overflow.
             raise InputError(f"{args.coords}: {err}") from None
-        out_dir.mkdir(parents=True, exist_ok=True)
-        path = out_dir / f"{name}.pdtsp"
+        path = _make_dir(args.out) / f"{name}.pdtsp"
         path.write_text(render_instance(inst))
         print(f"wrote {path}", file=out)
     return 0

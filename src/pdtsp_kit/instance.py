@@ -46,6 +46,15 @@ def round_half_up(value: float) -> int:
     return math.floor(value + 0.5)
 
 
+def _all_finite(values) -> bool:
+    """``math.isfinite`` over ``values``, where an int beyond the float
+    range, on which ``math.isfinite`` raises, counts as not finite."""
+    try:
+        return all(map(math.isfinite, values))
+    except OverflowError:
+        return False
+
+
 def build_cost_matrix(points, rounding: str = ROUND_NEAREST) -> list:
     """Pairwise Euclidean costs for a list of (x, y) points.
 
@@ -135,7 +144,7 @@ class Instance:
         types = set()
         for i, (row, col) in enumerate(zip(cost, zip(*cost))):
             types.update(map(type, row))
-            if not all(map(math.isfinite, row)):
+            if not _all_finite(row):
                 raise ValueError("costs must be finite")
             if min(row) < 0:
                 raise ValueError("costs must be nonnegative")
@@ -146,7 +155,7 @@ class Instance:
         if self.coords is not None:
             if len(self.coords) != n:
                 raise ValueError(f"need {n} coordinate pairs, got {len(self.coords)}")
-            if not all(map(math.isfinite, chain.from_iterable(self.coords))):
+            if not _all_finite(chain.from_iterable(self.coords)):
                 raise ValueError("coordinates must be finite")
         self.integral = all(issubclass(t, numbers.Integral) for t in types)
 

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 
 from .instance import Instance, OPEN
 from .neighborhoods import SearchParams, four_opt_type1_any
-from .neighborhoods.oracles import best_insertion_naive
 from .neighborhoods.relocate import best_insertion, removal_delta
 from .search import local_search
 from .tour import Tour, check_precedence, four_opt_splice, insert_pair
@@ -29,17 +28,14 @@ from .tour import Tour, check_precedence, four_opt_splice, insert_pair
 
 @dataclass
 class RrParams:
-    """Ruin-and-recreate budget and evaluator choice.
+    """Ruin-and-recreate budget.
 
     ``iters`` gives a deterministic run; ``tmax`` (seconds) may cap or
-    replace it. ``fast`` switches between the linear-time insertion
-    evaluator and the quadratic reference one in
-    ``neighborhoods.oracles``, which follow identical trajectories.
+    replace it.
     """
 
     iters: int | None = 10000
     tmax: float | None = None
-    fast: bool = True
 
     def __post_init__(self):
         if self.iters is None and self.tmax is None:
@@ -161,7 +157,6 @@ def rr_run(
     z0 = cur.cost if cur.cost > 0 else 1.0
     t0 = 0.05 * z0 / math.log(2)
     tf = 1e-3 * t0
-    evaluator = best_insertion if params.fast else best_insertion_naive
     operators = (_destroy_random, _destroy_worst, _destroy_block)
 
     it = 0
@@ -189,7 +184,7 @@ def rr_run(
         order = list(removed)
         rng.shuffle(order)
         for x in order:
-            _, ip, jp = evaluator(w, part, x, x + n)
+            _, ip, jp = best_insertion(w, part, x, x + n)
             insert_pair(part, x, x + n, ip, jp)
         cand = Tour(inst, part)
         delta = cand.cost - cur.cost

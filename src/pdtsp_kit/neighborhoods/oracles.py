@@ -4,9 +4,9 @@ Everything here enumerates candidates one by one, and most functions
 realize each candidate sequence, check precedence by inspection and
 recompute its cost from scratch. The fast scans are validated against
 these on small instances; nothing in this module is meant for
-production tour sizes. The quadratic pair insertion doubles as the slow
-evaluator of ruin-and-recreate (``RrParams(fast=False)``, CLI method
-``rr``), which must follow the fast one's trajectory exactly.
+production tour sizes. Ruin-and-recreate must follow the same
+trajectory with the quadratic pair insertion swapped in for the linear
+one, which the tests check.
 """
 
 from __future__ import annotations

@@ -11,8 +11,7 @@ and prices the pickup at the current slot against that minimum. The
 consecutive placements are priced in the same pass. Scanning backwards,
 a candidate replaces the best on ties too, so the smallest slot wins,
 as in the forward enumeration. The quadratic enumeration lives in
-``oracles.py``, as this scan's reference and as the slow evaluator of
-ruin-and-recreate.
+``oracles.py`` as this scan's reference.
 
 Slots are named by the rho element they follow: inserting "at t" places
 a visit between rho[t] and rho[t+1]. The last slot is len(rho)-2 since

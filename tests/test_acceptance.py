@@ -3,8 +3,8 @@
 Each test here exercises a whole subsystem against an independent
 reference: exact enumeration, direct recomputation of internal tables,
 or agreement across unrelated solvers. Reference costs for sizes beyond
-the enumeration guard use the consensus of every run performed on the
-instance, which the smallest sizes validate against the exact solver.
+the exact solver's pair cap use the consensus of every run performed on
+the instance, which the smaller sizes validate against the exact solver.
 The suite takes a few minutes; everything is seeded and deterministic
 apart from wall-clock measurements.
 """
@@ -24,20 +24,21 @@ from pdtsp_kit.metaheuristics import (
     rr_run,
 )
 from pdtsp_kit.neighborhoods import (
-    SearchParams,
     bs_optimize,
     four_opt_best,
     relocate_pair_best,
     two_k_opt_best,
 )
 from pdtsp_kit.neighborhoods.fouropt import _partner_rows
+from pdtsp_kit.neighborhoods.relocate import best_insertion
 from pdtsp_kit.neighborhoods.oracles import (
+    best_insertion_naive,
     bs_oracle,
     relocate_pair_best_naive,
     two_k_opt_oracle,
 )
 from pdtsp_kit.oracle import MAX_PAIRS, brute_force_optimal
-from pdtsp_kit.search import local_search, phase_one_sweep
+from pdtsp_kit.search import phase_one_sweep
 from pdtsp_kit.tour import Tour, check_precedence, tour_cost
 from helpers import euclid_instance, random_feasible_tour
 
@@ -390,9 +391,7 @@ def test_open_tour_runs_hit_optimum_within_milliseconds():
             )
             outs.append((best.cost, stats["ttb"]))
         if n <= MAX_PAIRS:
-            warm = greedy_construct(inst, random.Random(0))
-            local_search(inst, warm, SearchParams(), random.Random(0), use_large=True)
-            ref = brute_force_optimal(inst, seed=warm).cost
+            ref = brute_force_optimal(inst).cost
         else:
             probes = [
                 rr_run(inst, RrParams(iters=10000), random.Random(s)).cost
@@ -411,18 +410,14 @@ def test_open_tour_runs_hit_optimum_within_milliseconds():
 # same walk, iteration for iteration.
 
 
-def test_reconstruction_evaluators_follow_identical_trajectories():
+def test_reconstruction_evaluators_follow_identical_trajectories(monkeypatch):
     inst = euclid_instance(random.Random(9), 40, span=1000)
     traces = []
     finals = []
-    for fast in (True, False):
+    for evaluator in (best_insertion, best_insertion_naive):
+        monkeypatch.setattr("pdtsp_kit.metaheuristics.best_insertion", evaluator)
         trace = []
-        best = rr_run(
-            inst,
-            RrParams(iters=1000, fast=fast),
-            random.Random(5),
-            trace=trace,
-        )
+        best = rr_run(inst, RrParams(iters=1000), random.Random(5), trace=trace)
         traces.append(trace)
         finals.append((best.cost, tuple(best.seq)))
     assert len(traces[0]) == 1000

@@ -14,7 +14,7 @@ from pdtsp_kit.instance import (
     parse_solution,
     render_instance,
 )
-from pdtsp_kit.oracle import brute_force_optimal
+from pdtsp_kit.oracle import MAX_PAIRS, brute_force_optimal
 from pdtsp_kit.tour import Tour
 
 
@@ -79,7 +79,7 @@ def test_parse_seeds_rejects_empty_and_malformed_lists(capsys):
         (["--plarge", "2"], "argument --plarge: must be from 0 to 1, got '2'"),
         (["--plarge", "nan"], "argument --plarge: must be from 0 to 1, got 'nan'"),
         (
-            ["--method", "rr-fast", "--iters", "-1"],
+            ["--method", "rr", "--iters", "-1"],
             "argument --iters: must be at least 0, got '-1'",
         ),
         (["--tmax", "-1"], "argument --tmax: must be a positive number, got '-1'"),
@@ -228,18 +228,6 @@ def test_solve_deterministic_modulo_timing(capsys, tmp_path):
     assert snaps[0] == snaps[1]
 
 
-def test_rr_fast_and_naive_agree_in_cli(capsys, tmp_path):
-    paths = gen_instances(capsys, tmp_path, count=1)
-    costs = []
-    for method in ("rr", "rr-fast"):
-        _, out, _ = run_cli(
-            capsys,
-            ["solve", str(paths[0]), "--method", method, "--seeds", "9", "--iters", "60"],
-        )
-        costs.append(out[2].split(",")[3])
-    assert costs[0] == costs[1]
-
-
 def test_gap_column_against_reference(capsys, tmp_path):
     paths = gen_instances(capsys, tmp_path, count=1, n=4)
     inst = parse_instance(paths[0].read_text())
@@ -265,7 +253,7 @@ def test_oracle_method_matches_library(capsys, tmp_path):
 
 @pytest.mark.parametrize("command", ["solve", "bench"])
 def test_oracle_method_over_the_pair_cap_is_refused_up_front(capsys, tmp_path, command):
-    path = gen_instances(capsys, tmp_path, count=1, n=9)[0]
+    path = gen_instances(capsys, tmp_path, count=1, n=MAX_PAIRS + 1)[0]
     target = [str(path)] if command == "solve" else ["--dir", str(path.parent)]
     sol_dir = tmp_path / "sols"
     code, out, err = run_cli(
@@ -274,9 +262,29 @@ def test_oracle_method_over_the_pair_cap_is_refused_up_front(capsys, tmp_path, c
     assert code == 2
     assert out == []
     assert err.splitlines() == [
-        "pdtsp: t-C0: method oracle is limited to 8 pairs, got 9"
+        f"pdtsp: t-C0: method oracle is limited to {MAX_PAIRS} pairs,"
+        f" got {MAX_PAIRS + 1}"
     ]
     assert not sol_dir.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "bench", "gen"])
+def test_out_naming_an_existing_file_is_reported_on_one_line(
+    capsys, tmp_path, command
+):
+    path = gen_instances(capsys, tmp_path, count=1, n=3)[0]
+    afile = tmp_path / "afile"
+    afile.write_text("keep\n")
+    target = {
+        "solve": ["solve", str(path), "--method", "ls-only"],
+        "bench": ["bench", "--dir", str(path.parent), "--method", "ls-only"],
+        "gen": ["gen", "--n", "3"],
+    }[command]
+    code, out, err = run_cli(capsys, [*target, "--out", str(afile)])
+    assert code == 2
+    assert out == []
+    assert err.splitlines() == [f"pdtsp: {afile}: File exists"]
+    assert afile.read_text() == "keep\n"
 
 
 def test_hgs_smoke_with_no_improve_budget(capsys, tmp_path):
@@ -431,5 +439,6 @@ def test_gen_reads_coords_once(capsys, tmp_path, monkeypatch):
 
 def test_unknown_method_rejected(capsys, tmp_path):
     paths = gen_instances(capsys, tmp_path, count=1)
-    with pytest.raises(SystemExit):
-        main(["solve", str(paths[0]), "--method", "nope"])
+    for method in ("nope", "rr-fast"):
+        with pytest.raises(SystemExit):
+            main(["solve", str(paths[0]), "--method", method])

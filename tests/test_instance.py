@@ -81,9 +81,10 @@ def test_instance_validation():
         Instance(1, [[1, 1, 2], [1, 0, 1], [2, 1, 0]])  # diagonal
     with pytest.raises(ValueError):
         Instance(1, [[0, -1, 2], [-1, 0, 1], [2, 1, 0]])  # negative
-    for bad in (math.nan, math.inf, -math.inf):
+    # 10**400 is an int beyond the float range.
+    for bad in (math.nan, math.inf, -math.inf, 10**400):
         with pytest.raises(ValueError, match="finite"):
-            Instance(1, [[0, 1, bad], [1, 0, 1], [bad, 1, 0]])
+            Instance(1, [[0, 1.5, bad], [1.5, 0, 1], [bad, 1, 0]])
     with pytest.raises(ValueError):
         Instance(1, [[0, 1, 2], [1, 0, 1], [2, 1, 0]], mode="loop")
 
