@@ -17,8 +17,12 @@ import sys
 import time
 
 from .instance import (
+    GROUP_POOL,
+    MODES,
+    ROUNDINGS,
     FormatError,
     Instance,
+    _format_value,
     _parse_number,
     generate_pairs,
     parse_instance,
@@ -29,13 +33,12 @@ from .instance import (
 from .metaheuristics import HgsParams, RrParams, greedy_construct, hgs_run, rr_run
 from .neighborhoods import SearchParams
 from .oracle import MAX_PAIRS, brute_force_optimal
-from .search import local_search, phase_one_sweep
+from .search import local_search
 from .tour import Tour
 
 CSV_TAG = "# pdtsp-kit v1"
 CSV_HEADER = "instance,method,seed,cost,gap,ttb,total"
 METHODS = ("hgs", "rr", "ls-only", "oracle")
-SCALING_SIZES = (128, 256, 512)
 
 
 class InputError(Exception):
@@ -83,12 +86,6 @@ def _checked(kind, ok, need: str):
 
 
 _AT_LEAST_ONE = _checked(int, lambda v: v >= 1, "at least 1")
-
-
-def _fmt_cost(value) -> str:
-    if isinstance(value, int):
-        return str(value)
-    return repr(float(value))
 
 
 def _read_input(path, parse):
@@ -183,7 +180,7 @@ def _emit_rows(instances, args, out):
             ref = refs.get(inst.name)
             gap = "" if ref in (None, 0) else f"{100.0 * (cost - ref) / ref:.4f}"
             print(
-                f"{inst.name},{args.method},{seed},{_fmt_cost(cost)},"
+                f"{inst.name},{args.method},{seed},{_format_value(cost)},"
                 f"{gap},{ttb:.3f},{total:.3f}",
                 file=out,
             )
@@ -203,7 +200,7 @@ def cmd_solve(args, out=None) -> int:
 
 def _instance_group(name: str) -> str:
     tail = name.rsplit("-", 1)[-1]
-    for letter in ("A", "B", "C"):
+    for letter in sorted(GROUP_POOL):
         if tail.startswith(letter):
             return letter
     return "?"
@@ -211,8 +208,6 @@ def _instance_group(name: str) -> str:
 
 def cmd_bench(args, out=None) -> int:
     out = out if out is not None else sys.stdout
-    if args.scaling:
-        return _bench_scaling(args, out)
     paths = sorted(pathlib.Path(args.dir).glob("*.pdtsp"))
     instances = [_read_input(p, parse_instance) for p in paths]
     if args.group:
@@ -230,7 +225,7 @@ def cmd_bench(args, out=None) -> int:
         best = min(c for c, _, _ in runs)
         mean_t = sum(t for _, _, t in runs) / len(runs)
         gaps = [100.0 * (c - r) / r for c, r, _ in runs if r]
-        line = f"# agg instance={name} runs={len(runs)} best={_fmt_cost(best)}"
+        line = f"# agg instance={name} runs={len(runs)} best={_format_value(best)}"
         if gaps:
             line += f" mean_gap={sum(gaps) / len(gaps):.4f}"
         line += f" mean_total={mean_t:.3f}"
@@ -248,28 +243,6 @@ def cmd_bench(args, out=None) -> int:
             f" mean_gap={sum(gaps) / len(gaps):.4f}",
             file=out,
         )
-    return 0
-
-
-def _bench_scaling(args, out) -> int:
-    sizes = SCALING_SIZES
-    times = []
-    print(CSV_TAG, file=out)
-    for n in sizes:
-        rng = random.Random(7)
-        pts = [(rng.uniform(0, 1000), rng.uniform(0, 1000)) for _ in range(2 * n + 1)]
-        inst = generate_pairs(pts, "C", rng, name=f"scale-C{n}")
-        tour = greedy_construct(inst, random.Random(1))
-        order = list(range(1, n + 1))
-        best = float("inf")
-        for _ in range(3):
-            t0 = time.perf_counter()
-            phase_one_sweep(inst, tour, order, args.kor, apply_moves=False)
-            best = min(best, time.perf_counter() - t0)
-        times.append(best)
-        print(f"# scaling n={n} visits={2 * n + 1} sweep={best:.4f}s", file=out)
-    for a, b in zip(times, times[1:]):
-        print(f"# scaling ratio={b / a:.2f}", file=out)
     return 0
 
 
@@ -348,22 +321,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser("bench", help="run over a directory and aggregate")
     bench.add_argument("--dir", required=False, default=".")
-    bench.add_argument("--group", choices=["A", "B", "C"], default=None)
-    bench.add_argument(
-        "--scaling",
-        action="store_true",
-        help="time phase-1 sweeps on growing synthetic instances instead",
-    )
+    bench.add_argument("--group", choices=sorted(GROUP_POOL), default=None)
     _add_run_flags(bench)
     bench.set_defaults(func=cmd_bench)
 
     gen = sub.add_parser("gen", help="generate instances")
     gen.add_argument("--n", type=_AT_LEAST_ONE, default=10, help="pairs per instance")
     gen.add_argument("--count", type=_AT_LEAST_ONE, default=1)
-    gen.add_argument("--group", choices=["A", "B", "C"], default="C")
+    gen.add_argument("--group", choices=sorted(GROUP_POOL), default="C")
     gen.add_argument("--seed", type=int, default=1)
-    gen.add_argument("--mode", choices=["closed", "open"], default="closed")
-    gen.add_argument("--rounding", choices=["none", "nearest"], default="nearest")
+    gen.add_argument("--mode", choices=MODES, default="closed")
+    gen.add_argument("--rounding", choices=ROUNDINGS, default="nearest")
     gen.add_argument("--coords", default=None, help="file of 'x y' lines, depot first")
     gen.add_argument("--name", default="gen")
     gen.add_argument("--out", required=True, help="output directory")

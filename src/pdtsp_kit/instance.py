@@ -98,7 +98,7 @@ def build_cost_matrix(points, rounding: str = ROUND_NEAREST) -> list:
     return cost
 
 
-@dataclass(eq=False)
+@dataclass
 class Instance:
     """A pickup-and-delivery TSP instance in canonical labeling.
 
@@ -115,7 +115,7 @@ class Instance:
     name: str = "unnamed"
     coords: list | None = None
     rounding: str = ROUND_NONE
-    _work: list | None = field(default=None, init=False, repr=False)
+    _work: list | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.validate()
@@ -193,18 +193,6 @@ class Instance:
             w.append([zero] * (self.n_visits + 1))
             self._work = w
         return self._work
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Instance):
-            return NotImplemented
-        return (
-            self.n_pairs == other.n_pairs
-            and self.mode == other.mode
-            and self.name == other.name
-            and self.rounding == other.rounding
-            and self.coords == other.coords
-            and self.cost == other.cost
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -287,6 +287,10 @@ def biased_fitness(costs, dist, mu_elite: int = 1) -> list:
     Diversity is the mean distance to the two closest other
     individuals, ranked descending so distinct solutions score low.
     Needs at least three individuals to have two neighbors each.
+    ``dist`` must be nonnegative with a zero diagonal, as Jaccard
+    distances are: each sorted row then starts with a 0 standing for
+    the individual itself, and the two entries after it are the two
+    closest others.
     """
     p = len(costs)
     if p < 3:
@@ -297,8 +301,8 @@ def biased_fitness(costs, dist, mu_elite: int = 1) -> list:
         rc[i] = r
     contrib = []
     for i in range(p):
-        two = sorted(dist[i][j] for j in range(p) if j != i)[:2]
-        contrib.append((two[0] + two[1]) / 2)
+        a, b = sorted(dist[i])[1:3]
+        contrib.append((a + b) / 2)
     by_div = sorted(range(p), key=lambda i: (-contrib[i], i))
     rd = [0] * p
     for r, i in enumerate(by_div):
@@ -349,12 +353,9 @@ def hgs_run(
             keep = set(
                 sorted(range(len(pop)), key=lambda i: (costs[i], i))[: params.mu_elite]
             )
-            worst = None
-            for i in range(len(pop)):
-                if i in keep:
-                    continue
-                if worst is None or bf[i] > bf[worst]:
-                    worst = i
+            worst = max(
+                (i for i in range(len(pop)) if i not in keep), key=bf.__getitem__
+            )
             pop.pop(worst)
             dist.pop(worst)
             for row in dist:

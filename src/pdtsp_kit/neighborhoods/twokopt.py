@@ -17,8 +17,10 @@ from the two rows of the cost matrix at seq[i] and seq[i+1]. The case
 tables are kept whole for decoding, as is the table of blocked
 reversals.
 
-Decoding walks the chosen cases back into an explicit sequence, so one
-call yields both the gain and the reordered tour.
+Every case moves inward from one end of [i, j] or from both, so the
+chosen cases form one path from the full tour down to an interval of
+at most two visits. Decoding walks that path once, in a loop, and
+yields both the gain and the reordered tour from one call.
 """
 
 from __future__ import annotations
@@ -98,51 +100,27 @@ def two_k_opt_best(inst: Instance, tour: Tour) -> MoveDelta:
         F_in = F_i
         R_in = R_i
 
+    # ``left`` collects the output front to back and ``right`` back to
+    # front; inside a reversed interval seq[i] goes to the back.
     delta = F_in[top]
-    out = []
+    left = []
+    right = []
     flips = []
-    stack = [("F", 0, top)]
-    while stack:
-        item = stack.pop()
-        if item[0] == "emit":
-            out.append(item[1])
-            continue
-        kind, i, j = item
-        if kind == "F":
-            if j <= i + 1:
-                out.append(seq[i])
-                if j == i + 1:
-                    out.append(seq[j])
-                continue
-            case = FC[i][j]
-            if case == 1:
-                stack.append(("F", i + 1, j))
-                stack.append(("emit", seq[i]))
-            elif case == 2:
-                stack.append(("emit", seq[j]))
-                stack.append(("F", i, j - 1))
-            else:
-                flips.append((i, j))
-                stack.append(("emit", seq[j]))
-                stack.append(("R", i + 1, j - 1))
-                stack.append(("emit", seq[i]))
-        else:
-            if j <= i + 1:
-                out.append(seq[j])
-                if j == i + 1:
-                    out.append(seq[i])
-                continue
-            case = RC[i][j]
-            if case == 1:
-                stack.append(("emit", seq[i]))
-                stack.append(("R", i + 1, j))
-            elif case == 2:
-                stack.append(("R", i, j - 1))
-                stack.append(("emit", seq[j]))
-            else:
-                flips.append((i, j))
-                stack.append(("emit", seq[i]))
-                stack.append(("F", i + 1, j - 1))
-                stack.append(("emit", seq[j]))
-
+    i, j, rev = 0, top, False
+    while j > i + 1:
+        case = (RC if rev else FC)[i][j]
+        near, far = (right, left) if rev else (left, right)
+        if case == 3:
+            flips.append((i, j))
+            rev = not rev
+        if case != 2:
+            near.append(seq[i])
+            i += 1
+        if case != 1:
+            far.append(seq[j])
+            j -= 1
+    mid = seq[i : j + 1]
+    if rev:
+        mid.reverse()
+    out = left + mid + right[::-1]
     return MoveDelta("2k-opt", tuple(sorted(flips)), delta, True, tuple(out))

@@ -54,16 +54,9 @@ def pair_step(inst: Instance, tour: Tour, x: int, k_or: int):
 
 
 def phase_one_sweep(
-    inst: Instance,
-    tour: Tour,
-    order,
-    k_or: int,
-    *,
-    apply_moves: bool = True,
-    stamps: list | None = None,
+    inst: Instance, tour: Tour, order, k_or: int, *, stamps: list | None = None
 ) -> bool:
-    """One pass over ``order``; with apply_moves False it only scans,
-    which is what the scaling benchmark times.
+    """One pass over ``order`` that applies each pair's best improving move.
 
     ``stamps``, used by ``local_search``, holds the count of applied
     moves at index 0 and, at index x, the count at which pair x last
@@ -78,10 +71,9 @@ def phase_one_sweep(
         best = pair_step(inst, tour, x, k_or)
         if best.improves(eps):
             improved = True
-            if apply_moves:
-                apply_move(inst, tour, best)
-                if stamps is not None:
-                    stamps[0] += 1
+            apply_move(inst, tour, best)
+            if stamps is not None:
+                stamps[0] += 1
         elif stamps is not None:
             stamps[x] = stamps[0]
     return improved

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .instance import Instance
+from .instance import OPEN, Instance
 
 
 @dataclass
@@ -101,12 +101,12 @@ class Tour:
         list it only first, the virtual terminal being implicit.
         """
         seq = list(visits)
-        if inst.mode == "open":
+        if inst.mode == OPEN:
             seq = seq + [inst.end]
         return cls(inst, seq)
 
     def to_visits(self) -> list:
-        if self.inst.mode == "open":
+        if self.inst.mode == OPEN:
             return self.seq[:-1]
         return list(self.seq)
 

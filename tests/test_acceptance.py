@@ -38,7 +38,7 @@ from pdtsp_kit.neighborhoods.oracles import (
     two_k_opt_oracle,
 )
 from pdtsp_kit.oracle import MAX_PAIRS, brute_force_optimal
-from pdtsp_kit.search import phase_one_sweep
+from pdtsp_kit.search import pair_step
 from pdtsp_kit.tour import Tour, check_precedence, tour_cost
 from helpers import euclid_instance, random_feasible_tour
 
@@ -346,8 +346,9 @@ def test_window_reorder_graph_matches_enumeration_within_width_bounds():
 
 
 # ---------------------------------------------------------------------------
-# One scan-only sweep should look quadratic: doubling the visit count
-# multiplies its wall time by roughly four.
+# Scanning every pair once, without applying moves, should look
+# quadratic: doubling the visit count multiplies its wall time by
+# roughly four.
 
 
 def test_sweep_time_scales_quadratically():
@@ -357,14 +358,16 @@ def test_sweep_time_scales_quadratically():
         pts = [(rng.uniform(0, 1000), rng.uniform(0, 1000)) for _ in range(2 * n + 1)]
         inst = generate_pairs(pts, "C", rng, name=f"scale-C{n}")
         tour = greedy_construct(inst, random.Random(1))
-        order = list(range(1, n + 1))
-        phase_one_sweep(inst, tour, order, 30, apply_moves=False)  # warm caches
+        order = range(1, n + 1)
+        for x in order:  # warm caches
+            pair_step(inst, tour, x, 30)
         reps = []
         gc.disable()
         try:
             for _ in range(5):
                 t0 = time.perf_counter()
-                phase_one_sweep(inst, tour, order, 30, apply_moves=False)
+                for x in order:
+                    pair_step(inst, tour, x, 30)
                 reps.append(time.perf_counter() - t0)
         finally:
             gc.enable()

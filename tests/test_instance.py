@@ -120,6 +120,9 @@ def test_roundtrip_coords():
             again = parse_instance(render_instance(inst))
             assert again == inst
             assert again.integral
+            if mode == "open":
+                inst.work_cost()  # the cached work matrix is not compared
+                assert again == inst and inst == again
 
 
 def test_roundtrip_float_coords():

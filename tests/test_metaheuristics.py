@@ -243,6 +243,16 @@ def test_biased_fitness_hand_example():
     assert bf == pytest.approx([2 + 2 / 3 * 1, 0 + 2 / 3 * 2, 1 + 2 / 3 * 0])
     bf = biased_fitness(costs, dist, mu_elite=0)
     assert bf == pytest.approx([3.0, 2.0, 1.0])
+    # Clones 0 and 1 sit at distance 0.0, which counts as a neighbor
+    # distance for each of them: contrib is 0.25, 0.25, 0.4, 0.45.
+    clones = [
+        [0.0, 0.0, 0.5, 0.6],
+        [0.0, 0.0, 0.5, 0.6],
+        [0.5, 0.5, 0.0, 0.3],
+        [0.6, 0.6, 0.3, 0.0],
+    ]
+    bf = biased_fitness([3, 3, 1, 2], clones, mu_elite=1)
+    assert bf == pytest.approx([2 + 0.75 * 2, 3 + 0.75 * 3, 0 + 0.75 * 1, 1 + 0.75 * 0])
     with pytest.raises(ValueError):
         biased_fitness([1, 2], [[0, 1], [1, 0]])
 

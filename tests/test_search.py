@@ -26,18 +26,6 @@ def test_pair_step_apply_keeps_feasibility():
                 assert tour.cost == tour_cost(inst, tour.seq)
 
 
-def test_phase_one_scan_only_leaves_tour_alone():
-    rng = random.Random(81)
-    inst = euclid_instance(rng, 8)
-    tour = random_feasible_tour(rng, inst)
-    before = list(tour.seq)
-    improved = phase_one_sweep(
-        inst, tour, range(1, 9), 30, apply_moves=False
-    )
-    assert improved  # random tours are essentially never locally optimal
-    assert tour.seq == before
-
-
 def test_descent_reaches_local_optimum():
     rng = random.Random(82)
     params = SearchParams()
@@ -50,8 +38,9 @@ def test_descent_reaches_local_optimum():
         assert tour.cost == tour_cost(inst, tour.seq)
         assert tour.cost <= start_cost
         # No scan finds anything once the descent stops.
-        assert not phase_one_sweep(
-            inst, tour, range(1, 10), params.k_or, apply_moves=False
+        assert not any(
+            pair_step(inst, tour, x, params.k_or).improves(inst.eps)
+            for x in range(1, 10)
         )
         probe = tour.copy()
         assert not large_step(inst, probe, params.k_bs)
@@ -90,9 +79,7 @@ def test_float_costs_descend():
     local_search(inst, tour, SearchParams(), rng, use_large=True)
     assert tour.cost <= start + inst.eps
     tour.recost()
-    assert not phase_one_sweep(
-        inst, tour, range(1, 8), 30, apply_moves=False
-    )
+    assert not any(pair_step(inst, tour, x, 30).improves(inst.eps) for x in range(1, 8))
 
 
 def _rescan_descent(inst, tour, params, rng, use_large):
@@ -164,18 +151,6 @@ def test_stamped_descent_matches_full_rescan(monkeypatch, mode, build, use_large
         assert rng.random() == rng_ref.random()
         assert log == expected
     assert skipped > 0
-
-
-def test_scan_only_sweep_scans_every_pair(monkeypatch):
-    rng = random.Random(86)
-    inst = euclid_instance(rng, 8)
-    tour = random_feasible_tour(rng, inst)
-    local_search(inst, tour, SearchParams(), rng, use_large=False)
-    log = _spy_steps(monkeypatch)
-    order = list(range(1, 9))
-    for _ in range(3):
-        assert not phase_one_sweep(inst, tour, order, 30, apply_moves=False)
-    assert [step for step, _, _ in log] == order * 3
 
 
 def test_descent_stops_at_deadline():
