@@ -10,6 +10,13 @@ set to the two closest neighbors), breeds by linear order crossover,
 perturbs offspring with the best type-1 4-opt regardless of
 feasibility, repairs broken pairs by cheapest reinsertion, and educates
 with the local search.
+
+The population keeps its distance matrix and each member's two nearest
+distances up to date as members enter and leave, as HGS-CVRP keeps its
+proximity lists (Vidal 2022): an entering member updates every other
+member's pair in O(1), and a leaving one sends back to a full sort only
+the rows whose pair it may have been part of. Ranking then reads two
+floats per member instead of sorting every row.
 """
 
 from __future__ import annotations
@@ -258,54 +265,91 @@ def mutate_and_repair(inst: Instance, seq: list) -> Tour:
     return Tour(inst, seq)
 
 
-def edge_set(inst: Instance, seq) -> frozenset:
-    """Undirected location pairs of consecutive visits; open tours skip
-    the arc into the virtual terminal."""
-    coords = inst.coords
+def location_ids(inst: Instance) -> list:
+    """Location id of every visit, for ``edge_set``.
 
-    def key(v):
-        return coords[v] if coords is not None else v
+    Visits at equal coordinates share the smallest of their visit ids;
+    without coordinates every visit is its own location. An open
+    instance's virtual terminal gets its own id, ``inst.end``.
+    """
+    if inst.coords is None:
+        loc = list(range(inst.n_visits))
+    else:
+        first = {}
+        loc = [first.setdefault(xy, v) for v, xy in enumerate(inst.coords)]
+    if inst.mode == OPEN:
+        loc.append(inst.end)
+    return loc
 
-    limit = len(seq) - 2 if inst.mode == OPEN else len(seq) - 1
-    edges = set()
-    for t in range(limit):
-        a, b = key(seq[t]), key(seq[t + 1])
-        edges.add((a, b) if a <= b else (b, a))
-    return frozenset(edges)
+
+def edge_set(loc, seq) -> frozenset:
+    """Undirected location-id pairs ``(a, b)``, ``a <= b``, of consecutive
+    visits; ``loc`` comes from ``location_ids``. An open tour ends at
+    the virtual terminal, and the arc into it is skipped."""
+    ids = [loc[v] for v in (seq if seq[-1] == seq[0] else seq[:-1])]
+    # A frozenset copied from a set gets a table sized to fit; one grown
+    # from a generator can take twice the memory and intersects slower.
+    return frozenset({(a, b) if a <= b else (b, a) for a, b in zip(ids, ids[1:])})
 
 
 def jaccard(e1: frozenset, e2: frozenset) -> float:
-    union = len(e1 | e2)
+    inter = len(e1 & e2)
+    union = len(e1) + len(e2) - inter
     if union == 0:
         return 0.0
-    return (union - len(e1 & e2)) / union
+    return (union - inter) / union
 
 
-def biased_fitness(costs, dist, mu_elite: int = 1) -> list:
+def join_neighbors(dist, near, row) -> None:
+    """Adds a member whose distances to the current ones are ``row``.
+
+    ``dist`` is the square distance matrix, nonnegative with a zero
+    diagonal, and ``near[i]`` holds the two smallest off-diagonal
+    entries of ``dist[i]``, ascending, padded with ``inf`` while the
+    population holds fewer than three. Each current member takes its
+    new distance into ``near`` in O(1).
+    """
+    for prev, nb, d in zip(dist, near, row):
+        prev.append(d)
+        if d < nb[1]:
+            if d < nb[0]:
+                nb[0], nb[1] = d, nb[0]
+            else:
+                nb[1] = d
+    near.append((sorted(row) + [math.inf, math.inf])[:2])
+    row.append(0.0)
+    dist.append(row)
+
+
+def leave_neighbors(dist, near, k) -> None:
+    """Drops member ``k`` from ``dist`` and ``near`` (see
+    ``join_neighbors``). Only rows whose two nearest may have included
+    ``k`` are sorted again; the zero diagonal sorts first, so the two
+    entries after it are the two closest others."""
+    dist.pop(k)
+    near.pop(k)
+    for row, nb in zip(dist, near):
+        if row.pop(k) <= nb[1]:
+            nb[:] = (sorted(row)[1:3] + [math.inf, math.inf])[:2]
+
+
+def biased_fitness(costs, contrib, mu_elite: int = 1) -> list:
     """Cost rank plus discounted diversity rank, both zero-based.
 
-    Diversity is the mean distance to the two closest other
-    individuals, ranked descending so distinct solutions score low.
-    Needs at least three individuals to have two neighbors each.
-    ``dist`` must be nonnegative with a zero diagonal, as Jaccard
-    distances are: each sorted row then starts with a 0 standing for
-    the individual itself, and the two entries after it are the two
-    closest others.
+    ``contrib[i]`` is member i's diversity contribution, the mean
+    distance to its two closest other members; it is ranked descending
+    so distinct solutions score low. Ties go to the smaller index in
+    both ranks. Needs at least three individuals to have two neighbors
+    each.
     """
     p = len(costs)
     if p < 3:
         raise ValueError("population must hold at least 3 individuals")
-    by_cost = sorted(range(p), key=lambda i: (costs[i], i))
     rc = [0] * p
-    for r, i in enumerate(by_cost):
+    for r, i in enumerate(sorted(range(p), key=costs.__getitem__)):
         rc[i] = r
-    contrib = []
-    for i in range(p):
-        a, b = sorted(dist[i])[1:3]
-        contrib.append((a + b) / 2)
-    by_div = sorted(range(p), key=lambda i: (-contrib[i], i))
     rd = [0] * p
-    for r, i in enumerate(by_div):
+    for r, i in enumerate(sorted(range(p), key=contrib.__getitem__, reverse=True)):
         rd[i] = r
     coef = 1.0 - mu_elite / p
     return [rc[i] + coef * rd[i] for i in range(p)]
@@ -335,31 +379,31 @@ def hgs_run(
     t_start = time.perf_counter()
     deadline = None if params.tmax is None else t_start + params.tmax
     sp = params.search
+    loc = location_ids(inst)
     pop: list[_Member] = []
     dist: list[list[float]] = []
+    near: list[list[float]] = []
 
     def add(tour: Tour):
-        e = edge_set(inst, tour.seq)
-        row = [jaccard(e, m.edges) for m in pop]
-        for prev, d in zip(dist, row):
-            prev.append(d)
-        dist.append(row + [0.0])
+        e = edge_set(loc, tour.seq)
+        join_neighbors(dist, near, [jaccard(e, m.edges) for m in pop])
         pop.append(_Member(tour, e))
+
+    def ranks():
+        costs = [m.tour.cost for m in pop]
+        contrib = [(a + b) / 2 for a, b in near]
+        return costs, biased_fitness(costs, contrib, params.mu_elite)
 
     def trim():
         while len(pop) > params.mu:
-            costs = [m.tour.cost for m in pop]
-            bf = biased_fitness(costs, dist, params.mu_elite)
-            keep = set(
-                sorted(range(len(pop)), key=lambda i: (costs[i], i))[: params.mu_elite]
-            )
+            costs, bf = ranks()
+            by_cost = sorted(range(len(pop)), key=costs.__getitem__)
+            keep = set(by_cost[: params.mu_elite])
             worst = max(
                 (i for i in range(len(pop)) if i not in keep), key=bf.__getitem__
             )
             pop.pop(worst)
-            dist.pop(worst)
-            for row in dist:
-                row.pop(worst)
+            leave_neighbors(dist, near, worst)
 
     best = None
     ttb = 0.0
@@ -380,8 +424,7 @@ def hgs_run(
             break
         if params.max_no_improve is not None and no_improve >= params.max_no_improve:
             break
-        costs = [m.tour.cost for m in pop]
-        bf = biased_fitness(costs, dist, params.mu_elite)
+        _, bf = ranks()
 
         def pick():
             i = rng.randrange(len(pop))

@@ -1,10 +1,13 @@
 """Construction, destroy operators, ruin-and-recreate and genetic search."""
 
+import math
 import random
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from pdtsp_kit.instance import Instance, build_cost_matrix
 from pdtsp_kit.metaheuristics import (
     HgsParams,
     RrParams,
@@ -16,6 +19,9 @@ from pdtsp_kit.metaheuristics import (
     greedy_construct,
     hgs_run,
     jaccard,
+    join_neighbors,
+    leave_neighbors,
+    location_ids,
     lox_crossover,
     mutate_and_repair,
     rr_run,
@@ -24,7 +30,7 @@ from pdtsp_kit.neighborhoods.oracles import best_insertion_naive
 from pdtsp_kit.neighborhoods.relocate import best_insertion, removal_delta
 from pdtsp_kit.oracle import brute_force_optimal
 from pdtsp_kit.tour import Tour, tour_cost
-from helpers import euclid_instance, random_feasible_tour
+from helpers import euclid_instance, float_instance, random_feasible_tour
 
 
 class ScriptRng:
@@ -211,17 +217,43 @@ def test_mutate_and_repair_keeps_settled_tour():
 # Diversity machinery
 
 
+def _coordinate_edges(inst, seq):
+    # Edges keyed by coordinate tuples, the keys location ids replace.
+    stop = len(seq) - 2 if inst.mode == "open" else len(seq) - 1
+    keys = [inst.coords[v] for v in seq[: stop + 1]]
+    return frozenset((a, b) if a <= b else (b, a) for a, b in zip(keys, keys[1:]))
+
+
 def test_edge_set_counts_and_open_terminal_skip():
     rng = random.Random(102)
     closed = euclid_instance(rng, 4, mode="closed")
     t = random_feasible_tour(rng, closed)
-    assert len(edge_set(closed, t.seq)) <= 9  # duplicate locations may merge
+    assert len(edge_set(location_ids(closed), t.seq)) <= 9  # duplicate locations may merge
     opened = euclid_instance(rng, 4, mode="open")
     t = random_feasible_tour(rng, opened)
-    edges = edge_set(opened, t.seq)
+    edges = edge_set(location_ids(opened), t.seq)
     assert len(edges) <= 8
     term = opened.end
-    assert all(term not in (a, b) for a, b in edges if isinstance(a, int))
+    assert all(term not in (a, b) for a, b in edges)
+    assert all(a <= b for a, b in edges)
+    # Visits 7 and 3 share coordinates, so both get location id 3, and
+    # the Jaccard values are those of coordinate keys.
+    for mode in ("closed", "open"):
+        coords = list(euclid_instance(rng, 5).coords)
+        coords[7] = coords[3]
+        inst = Instance(5, build_cost_matrix(coords), mode=mode, coords=coords)
+        loc = location_ids(inst)
+        assert loc[7] == loc[3] == 3
+        assert loc[inst.end] == inst.end
+        tours = [random_feasible_tour(rng, inst).seq for _ in range(30)]
+        for s1, s2 in zip(tours, tours[1:]):
+            e1, e2 = edge_set(loc, s1), edge_set(loc, s2)
+            c1, c2 = _coordinate_edges(inst, s1), _coordinate_edges(inst, s2)
+            assert len(e1) == len(c1)
+            assert jaccard(e1, e2) == jaccard(c1, c2)
+        # Without coordinates every visit is its own location.
+        bare = location_ids(Instance(5, inst.cost, mode=mode))
+        assert bare == list(range(inst.n_visits)) + [inst.end] * (mode == "open")
 
 
 def test_jaccard_extremes():
@@ -229,32 +261,65 @@ def test_jaccard_extremes():
     b = frozenset({(2, 3), (3, 4)})
     assert jaccard(a, a) == 0.0
     assert jaccard(a, b) == 1.0
+    assert jaccard(a, frozenset({(1, 2), (2, 3)})) == 2 / 3
     assert jaccard(frozenset(), frozenset()) == 0.0
 
 
 def test_biased_fitness_hand_example():
+    # Contributions of the distance matrix
+    # [[0, 0.2, 0.8], [0.2, 0, 0.4], [0.8, 0.4, 0]].
     costs = [5, 1, 3]
-    dist = [
-        [0.0, 0.2, 0.8],
-        [0.2, 0.0, 0.4],
-        [0.8, 0.4, 0.0],
-    ]
-    bf = biased_fitness(costs, dist, mu_elite=1)
+    contrib = [0.5, 0.3, 0.6]
+    bf = biased_fitness(costs, contrib, mu_elite=1)
     assert bf == pytest.approx([2 + 2 / 3 * 1, 0 + 2 / 3 * 2, 1 + 2 / 3 * 0])
-    bf = biased_fitness(costs, dist, mu_elite=0)
+    bf = biased_fitness(costs, contrib, mu_elite=0)
     assert bf == pytest.approx([3.0, 2.0, 1.0])
-    # Clones 0 and 1 sit at distance 0.0, which counts as a neighbor
-    # distance for each of them: contrib is 0.25, 0.25, 0.4, 0.45.
-    clones = [
-        [0.0, 0.0, 0.5, 0.6],
-        [0.0, 0.0, 0.5, 0.6],
-        [0.5, 0.5, 0.0, 0.3],
-        [0.6, 0.6, 0.3, 0.0],
-    ]
-    bf = biased_fitness([3, 3, 1, 2], clones, mu_elite=1)
+    # Clones 0 and 1 sit at distance 0.0 in
+    # [[0, 0, 0.5, 0.6], [0, 0, 0.5, 0.6], [0.5, 0.5, 0, 0.3], [0.6, 0.6, 0.3, 0]],
+    # which counts as a neighbor distance for each of them: contrib is
+    # 0.25, 0.25, 0.4, 0.45.
+    bf = biased_fitness([3, 3, 1, 2], [0.25, 0.25, 0.4, 0.45], mu_elite=1)
     assert bf == pytest.approx([2 + 0.75 * 2, 3 + 0.75 * 3, 0 + 0.75 * 1, 1 + 0.75 * 0])
     with pytest.raises(ValueError):
-        biased_fitness([1, 2], [[0, 1], [1, 0]])
+        biased_fitness([1, 2], [1.0, 1.0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 3), st.sampled_from([0.0, 0.25, 0.5])), min_size=3))
+def test_biased_fitness_ties_go_to_the_smaller_index(members):
+    costs = [c for c, _ in members]
+    contrib = [d for _, d in members]
+    p = len(members)
+    rc = {i: r for r, i in enumerate(sorted(range(p), key=lambda i: (costs[i], i)))}
+    rd = {i: r for r, i in enumerate(sorted(range(p), key=lambda i: (-contrib[i], i)))}
+    coef = 1.0 - 1 / p
+    assert biased_fitness(costs, contrib) == [rc[i] + coef * rd[i] for i in range(p)]
+
+
+# Distances drawn from a few values, so that ties and off-diagonal 0.0
+# clones are common.
+DIST_VALUES = (0.0, 0.25, 0.5, 0.5, 1.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.booleans(), st.integers(0, 2**32)), max_size=40))
+def test_incremental_neighbors_match_sorted_rows(steps):
+    dist, near = [], []
+    for add, seed in steps:
+        rng = random.Random(seed)
+        if add or len(dist) < 2:
+            join_neighbors(dist, near, [rng.choice(DIST_VALUES) for _ in dist])
+        else:
+            leave_neighbors(dist, near, rng.randrange(len(dist)))
+        p = len(dist)
+        assert len(near) == p
+        assert all(len(row) == p and row[i] == 0.0 for i, row in enumerate(dist))
+        assert all(dist[i][j] == dist[j][i] for i in range(p) for j in range(i))
+        for row, nb in zip(dist, near):
+            if p >= 3:
+                assert nb == sorted(row)[1:3]
+            else:
+                assert nb == (sorted(row)[1:] + [math.inf, math.inf])[:2]
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +339,42 @@ def test_hgs_deterministic_and_finds_small_optimum():
         outs.append((best.cost, best.seq, stats["children"]))
     assert outs[0] == outs[1]
     assert outs[0][0] == opt
+
+
+# Trajectories of a small population (mu=3, lam=4), which trims every
+# fourth child, recorded with the population code that sorted every
+# member's whole distance row and keyed edges by coordinates. The
+# closed instance has visits at equal coordinates; the matrix-only one
+# keys edges by visit id.
+PINNED_HGS = [
+    (
+        lambda: euclid_instance(random.Random(1010), 8, span=5),
+        23,
+        [0, 6, 8, 5, 3, 7, 11, 2, 16, 1, 4, 14, 10, 13, 12, 15, 9, 0],
+        63,
+    ),
+    (
+        lambda: float_instance(random.Random(1006), 8, mode="open"),
+        448.17106621459703,
+        [0, 2, 1, 6, 8, 3, 5, 14, 7, 9, 4, 13, 16, 12, 11, 15, 10, 17],
+        107,
+    ),
+    (
+        lambda: Instance(8, euclid_instance(random.Random(1008), 8, span=30).cost),
+        142,
+        [0, 4, 5, 1, 9, 6, 8, 14, 13, 16, 2, 10, 7, 15, 12, 3, 11, 0],
+        67,
+    ),
+]
+
+
+@pytest.mark.parametrize("make, cost, seq, children", PINNED_HGS)
+def test_hgs_trajectory_is_pinned(make, cost, seq, children):
+    inst = make()
+    stats = {}
+    best = hgs_run(inst, HgsParams(mu=3, lam=4, max_no_improve=60), random.Random(5), stats)
+    assert (best.cost, best.seq, stats["children"]) == (cost, seq, children)
+    assert type(best.cost) is type(cost)
 
 
 def test_hgs_time_budget_stops():

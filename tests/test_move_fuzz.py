@@ -1,0 +1,72 @@
+"""Property test of ``apply_move`` on the moves the scans return.
+
+Random feasible tours, integer and float costs, open and closed, take
+the best feasible move of each scan in turn, improving or not. After
+every move the tour must stay a feasible permutation bracketed by the
+depot and the terminal, with positions, edge costs and cost in step
+with its sequence.
+"""
+
+import random
+
+from hypothesis import given, settings, strategies as st
+
+from pdtsp_kit.neighborhoods import (
+    bs_best,
+    four_opt_best,
+    or_opt_scan,
+    relocate_pair_best,
+    two_k_opt_best,
+    two_opt_scan,
+)
+from pdtsp_kit.tour import apply_move, check_precedence, tour_cost
+from helpers import euclid_instance, float_instance, random_feasible_tour
+
+# Scan name -> call taking (inst, tour, a); ``a`` picks the pair or the
+# anchor position of the scans that take one.
+SCANS = {
+    "relocate": lambda inst, t, a: relocate_pair_best(inst, t, 1 + a % inst.n_pairs),
+    "two_opt": lambda inst, t, a: two_opt_scan(inst, t, a % (2 * inst.n_pairs + 1)),
+    "or_opt": lambda inst, t, a: or_opt_scan(inst, t, 1 + a % (2 * inst.n_pairs), 30),
+    "two_k_opt": lambda inst, t, a: two_k_opt_best(inst, t),
+    "four_opt": lambda inst, t, a: four_opt_best(inst, t),
+    "bs": lambda inst, t, a: bs_best(inst, t, 3),
+}
+
+
+def check_invariants(inst, tour):
+    seq, nv = tour.seq, inst.n_visits
+    assert len(seq) == nv + 1
+    assert seq[0] == 0 and seq[-1] == inst.end
+    assert sorted(seq[1:-1]) == list(range(1, nv))
+    assert all(tour.pos[v] == t for t, v in enumerate(seq[:-1]))
+    assert seq[tour.pos[inst.end]] == inst.end  # a closed tour's depot sits at 0
+    assert not check_precedence(inst, seq)
+    assert tour.edge == [tour_cost(inst, seq[t : t + 2]) for t in range(nv)]
+    if inst.integral:
+        assert tour.cost == tour_cost(inst, seq)
+    else:
+        assert abs(tour.cost - tour_cost(inst, seq)) <= inst.eps
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    n=st.integers(2, 8),
+    integral=st.booleans(),
+    mode=st.sampled_from(["closed", "open"]),
+    steps=st.lists(
+        st.tuples(st.sampled_from(sorted(SCANS)), st.integers(0, 99)), max_size=12
+    ),
+)
+def test_scan_moves_keep_tour_invariants(seed, n, integral, mode, steps):
+    rng = random.Random(seed)
+    make = euclid_instance if integral else float_instance
+    inst = make(rng, n, mode=mode)
+    tour = random_feasible_tour(rng, inst)
+    check_invariants(inst, tour)
+    for name, anchor in steps:
+        move = SCANS[name](inst, tour, anchor)
+        if move.feasible:
+            apply_move(inst, tour, move)
+        check_invariants(inst, tour)
