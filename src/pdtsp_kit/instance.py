@@ -170,8 +170,9 @@ class Instance:
 
     @property
     def eps(self) -> float:
-        """Improvement threshold: 0 for integer costs, an absolute 1e-9 otherwise."""
-        return 0.0 if self.integral else 1e-9
+        """Improvement threshold: the int 0 for integer costs, an absolute
+        1e-9 otherwise. An int keeps every scan's comparisons int-only."""
+        return 0 if self.integral else 1e-9
 
     def partner(self, v: int) -> int:
         if not 1 <= v <= 2 * self.n_pairs:

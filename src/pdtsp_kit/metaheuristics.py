@@ -248,11 +248,9 @@ def mutate_and_repair(inst: Instance, seq: list) -> Tour:
     """
     w = inst.work_cost()
     n = inst.n_pairs
-    res = four_opt_type1_any(inst, seq)
-    if res is not None:
-        delta, cuts = res
-        if delta < -inst.eps:
-            seq = four_opt_splice(seq, "4opt-type1", cuts)
+    m = four_opt_type1_any(inst, seq)
+    if m.indices:
+        seq = four_opt_splice(seq, m.kind, m.indices)
     broken = check_precedence(inst, seq)
     if broken:
         at = {v: t for t, v in enumerate(seq[:-1])}

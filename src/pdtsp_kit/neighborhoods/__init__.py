@@ -1,10 +1,10 @@
 """Improvement neighborhoods for pickup-and-delivery tours.
 
-Six move families, each returning a MoveDelta describing its best
-candidate: single-pair relocation, precedence-aware 2-opt and or-opt
-scans anchored at one position, and three exponential or quadratic
-families explored in full (nested 2-opts, a restricted 4-opt, and the
-Balas-Simonetti reordering graph).
+Six move families: single-pair relocation, precedence-aware 2-opt and
+or-opt scans anchored at one position, and three exponential or
+quadratic families explored in full (nested 2-opts, a restricted 4-opt,
+and the Balas-Simonetti reordering graph). Each scan returns its best
+improving move or the empty move, as ``MoveDelta`` states.
 """
 
 from __future__ import annotations

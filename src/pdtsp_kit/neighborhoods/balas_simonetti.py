@@ -106,6 +106,10 @@ def bs_optimize(inst: Instance, seq, k: int):
 
 
 def bs_best(inst: Instance, tour: Tour, k: int) -> MoveDelta:
-    """Wraps the graph search as a move against the current tour cost."""
+    """Wraps the graph search as a move against the current tour cost:
+    the cheapest reordering if it improves, else the empty move."""
     seq, cost, _ = bs_optimize(inst, tour.seq, k)
-    return MoveDelta("bs", (k,), cost - tour.cost, True, tuple(seq))
+    delta = cost - tour.cost
+    if delta >= -inst.eps:
+        return MoveDelta("bs", (), 0)
+    return MoveDelta("bs", (k,), delta, tuple(seq))

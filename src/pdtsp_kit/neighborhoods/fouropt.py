@@ -24,9 +24,11 @@ jump ahead of everything after i1 if all its deliveries' pickups sit in
 P1. At each (i2, j2) the types are tried in the order 1, 2a, 2b, and a
 candidate replaces the best move so far only if it is strictly cheaper.
 
-The scan returns improving moves only. The mutation helper walks the
-same rows for type 1 without any feasibility filtering, which is also
-safe on precedence-violating sequences.
+The scan starts its best at ``-inst.eps``, so it returns the best
+improving move or the empty move. The mutation helper walks the same
+rows for type 1 without any feasibility filtering, which is also safe
+on precedence-violating sequences, and returns the same kind of
+result.
 """
 
 from __future__ import annotations
@@ -107,13 +109,12 @@ def _feasibility_tables(seq, pos, n, top):
 
 
 def four_opt_best(inst: Instance, tour: Tour) -> MoveDelta:
-    """Best improving restricted 4-opt move, or an empty move if none passes."""
+    """Best improving restricted 4-opt move, or the empty move."""
     seq = tour.seq
     pos = tour.pos
     n = inst.n_pairs
     top = len(seq) - 1  # customer positions are 1..top-1
-    eps = inst.eps
-    empty = MoveDelta("4opt-type1", (), 0, False)
+    empty = MoveDelta(_KINDS[0], (), 0)
     if top - 1 < 5:
         return empty
 
@@ -121,7 +122,7 @@ def four_opt_best(inst: Instance, tour: Tour) -> MoveDelta:
     rev, last = _feasibility_tables(seq, pos, n, top)
 
     best = empty
-    best_delta = -eps
+    best_delta = -inst.eps
     for i2, base_d, base_c, min_d, arg_d, min_c, arg_c in _partner_rows(w, seq, top):
         last3 = last[i2 + 1]  # P3 starts at i2 + 1
         rev3 = rev[i2 + 1]
@@ -148,7 +149,7 @@ def four_opt_best(inst: Instance, tour: Tour) -> MoveDelta:
                 and last[j1_d + 1][j2] <= i1_d
             ):
                 best_delta = total
-                best = MoveDelta(_KINDS[0], (i1_d, i2, j1_d, j2), total, True)
+                best = MoveDelta(_KINDS[0], (i1_d, i2, j1_d, j2), total)
             total = d + phi_c
             if (
                 total < best_delta
@@ -158,7 +159,7 @@ def four_opt_best(inst: Instance, tour: Tour) -> MoveDelta:
                 and rev[j1_c + 1][j2]
             ):
                 best_delta = total
-                best = MoveDelta(_KINDS[1], (i1_c, i2, j1_c, j2), total, True)
+                best = MoveDelta(_KINDS[1], (i1_c, i2, j1_c, j2), total)
             total = base_c[j2] + phi_d
             if (
                 total < best_delta
@@ -167,26 +168,26 @@ def four_opt_best(inst: Instance, tour: Tour) -> MoveDelta:
                 and rev3[j1_d]
             ):
                 best_delta = total
-                best = MoveDelta(_KINDS[2], (i1_d, i2, j1_d, j2), total, True)
+                best = MoveDelta(_KINDS[2], (i1_d, i2, j1_d, j2), total)
     return best
 
 
-def four_opt_type1_any(inst: Instance, seq):
-    """Best type-1 move by cost alone, precedence ignored.
+def four_opt_type1_any(inst: Instance, seq) -> MoveDelta:
+    """Best improving type-1 move by cost alone, precedence ignored, or
+    the empty move.
 
     Works on a bare sequence, so crossover offspring that violate
-    precedence can be perturbed before repair. Returns (delta,
-    (i1, i2, j1, j2)) or None when the tour is too short. It shares the
-    rows of ``_partner_rows`` but keeps its own j2 loop, because
+    precedence can be perturbed before repair. It shares the rows of
+    ``_partner_rows`` but keeps its own j2 loop, because
     ``four_opt_best`` weighs the three types together at each (i2, j2),
     so their tie order depends on that loop.
     """
     top = len(seq) - 1
     if top - 1 < 5:
-        return None
+        return MoveDelta(_KINDS[0], (), 0)
     w = inst.work_cost()
-    best = math.inf
-    best_move = None
+    best = -inst.eps
+    cuts = ()
     for i2, base, _, min_d, arg_d, _, _ in _partner_rows(w, seq, top):
         phi = math.inf
         i1 = j1 = 0
@@ -199,5 +200,5 @@ def four_opt_type1_any(inst: Instance, seq):
             total = base[j2] + phi
             if total < best:
                 best = total
-                best_move = (i1, i2, j1, j2)
-    return best, best_move
+                cuts = (i1, i2, j1, j2)
+    return MoveDelta(_KINDS[0], cuts, best if cuts else 0)

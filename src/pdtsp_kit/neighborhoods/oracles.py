@@ -2,11 +2,13 @@
 
 Everything here enumerates candidates one by one, and most functions
 realize each candidate sequence, check precedence by inspection and
-recompute its cost from scratch. The fast scans are validated against
-these on small instances; nothing in this module is meant for
-production tour sizes. Ruin-and-recreate must follow the same
-trajectory with the quadratic pair insertion swapped in for the linear
-one, which the tests check.
+recompute its cost from scratch. Each scan's oracle returns, as the
+scan does, its best improving move or the empty move (see
+``MoveDelta``), so the tests compare the two exactly. The fast scans
+are validated against these on small instances; nothing in this module
+is meant for production tour sizes. Ruin-and-recreate must follow the
+same trajectory with the quadratic pair insertion swapped in for the
+linear one, which the tests check.
 """
 
 from __future__ import annotations
@@ -51,34 +53,41 @@ def relocate_pair_best_naive(inst: Instance, tour: Tour, x: int) -> MoveDelta:
     rho = [v for v in tour.seq if v != x and v != nx]
     d_ins, ip, jp = best_insertion_naive(w, rho, x, nx)
     delta = removal_delta(w, tour.seq, i, j) + d_ins
-    return MoveDelta("relocate-pair", (x, ip, jp), delta, True)
+    if delta >= -inst.eps:
+        return MoveDelta("relocate-pair", (), 0)
+    return MoveDelta("relocate-pair", (x, ip, jp), delta)
 
 
 def two_opt_oracle(inst: Instance, tour: Tour, i: int):
     """All 2-opt candidates at anchor i by realization.
 
-    Returns (best, all_candidates) where all_candidates lists
+    Returns (best, all_candidates) where best is the best improving
+    feasible move or the empty move, and all_candidates lists
     (j, delta, feasible) for every structural j, truncation ignored.
     """
     seq = tour.seq
     top = len(seq) - 1
     out = []
-    best = MoveDelta("2opt", (i, i + 2), 0, False)
+    best = MoveDelta("2opt", (), 0)
+    best_d = -inst.eps
     for j in range(i + 3, top + 1):
         new = seq[:i + 1] + seq[i + 1 : j][::-1] + seq[j:]
         feasible = not check_precedence(inst, new)
         delta = tour_cost(inst, new) - tour.cost
         out.append((j, delta, feasible))
-        if feasible and (not best.feasible or delta < best.delta):
-            best = MoveDelta("2opt", (i, j), delta, True)
+        if feasible and delta < best_d:
+            best_d = delta
+            best = MoveDelta("2opt", (i, j), delta)
     return best, out
 
 
 def or_opt_oracle(inst: Instance, tour: Tour, a: int, k_or: int) -> MoveDelta:
-    """Best segment relocation by full realization, same candidate order."""
+    """Best improving segment relocation by full realization, same
+    candidate order."""
     seq = tour.seq
     n2 = 2 * inst.n_pairs
-    best = MoveDelta("or-opt", (a, 0, 0, False), 0, False)
+    best = MoveDelta("or-opt", (), 0)
+    best_d = -inst.eps
     for length in range(1, min(k_or, n2 - a + 1) + 1):
         seg = seq[a : a + length]
         rho = seq[:a] + seq[a + length :]
@@ -93,8 +102,9 @@ def or_opt_oracle(inst: Instance, tour: Tour, a: int, k_or: int) -> MoveDelta:
                 if check_precedence(inst, new):
                     continue
                 delta = tour_cost(inst, new) - tour.cost
-                if not best.feasible or delta < best.delta:
-                    best = MoveDelta("or-opt", (a, length, t, rev), delta, True)
+                if delta < best_d:
+                    best_d = delta
+                    best = MoveDelta("or-opt", (a, length, t, rev), delta)
     return best
 
 
@@ -134,20 +144,23 @@ def _enum_nested(seq, i, j, kind, memo):
 
 
 def two_k_opt_oracle(inst: Instance, tour: Tour) -> MoveDelta:
-    """Best nested-2-opt combination by enumerating every realization.
+    """Best improving nested-2-opt combination by enumerating every
+    realization, or the empty move.
 
     Candidates come out in the same first-case-first order the dynamic
     program uses to break ties, so the champion matches move for move.
     """
     seq = tour.seq
     top = len(seq) - 1
-    best = None
+    best = MoveDelta("2k-opt", (), 0)
+    best_d = -inst.eps
     for new, flips in _enum_nested(seq, 0, top, "F", {}):
         if check_precedence(inst, list(new)):
             continue
         delta = tour_cost(inst, new) - tour.cost
-        if best is None or delta < best.delta:
-            best = MoveDelta("2k-opt", tuple(sorted(flips)), delta, True, new)
+        if delta < best_d:
+            best_d = delta
+            best = MoveDelta("2k-opt", tuple(sorted(flips)), delta, new)
     return best
 
 
@@ -169,9 +182,8 @@ def four_opt_oracle(inst: Instance, tour: Tour) -> MoveDelta:
     pos = tour.pos
     n = inst.n_pairs
     top = len(seq) - 1
-    eps = inst.eps
     w = inst.work_cost()
-    best = MoveDelta("4opt-type1", (), 0, False)
+    best = MoveDelta("4opt-type1", (), 0)
     if top - 1 < 5:
         return best
 
@@ -191,7 +203,7 @@ def four_opt_oracle(inst: Instance, tour: Tour) -> MoveDelta:
             - w[seq[j]][seq[j + 1]]
         )
 
-    best_delta = -eps
+    best_delta = -inst.eps
     for i2 in range(1, top - 2):
         for j2 in range(i2 + 2, top):
             for ttype, base_fn, phi_fn in (
@@ -231,7 +243,7 @@ def four_opt_oracle(inst: Instance, tour: Tour) -> MoveDelta:
                     )
                 if ok:
                     best_delta = total
-                    best = MoveDelta(ttype, (i1, i2, j1, j2), total, True)
+                    best = MoveDelta(ttype, (i1, i2, j1, j2), total)
     return best
 
 

@@ -26,12 +26,11 @@ Reinserting the segment unreversed at the bridge is the identity and
 is skipped; reinserting it reversed there is a real candidate.
 
 Candidates are visited by length, then slot, then forward before
-reversed, and the first strict minimum wins.
+reversed, and the first strict minimum below ``-inst.eps`` wins.
 """
 
 from __future__ import annotations
 
-import math
 from heapq import heappop, heappush
 
 from ..instance import Instance
@@ -39,11 +38,12 @@ from ..tour import MoveDelta, Tour
 
 
 def or_opt_scan(inst: Instance, tour: Tour, a: int, k_or: int) -> MoveDelta:
-    """Best segment move among lengths 1..k_or starting at position a.
+    """Best improving segment move among lengths 1..k_or starting at
+    position a, or the empty move.
 
-    Returns a MoveDelta with indices (a, length, t, reversed), where
-    slot t means insertion between the t-th and (t+1)-th visits of the
-    sequence with the segment removed.
+    An improving move has indices (a, length, t, reversed), where slot t
+    means insertion between the t-th and (t+1)-th visits of the sequence
+    with the segment removed.
     """
     seq = tour.seq
     pos = tour.pos
@@ -56,7 +56,7 @@ def or_opt_scan(inst: Instance, tour: Tour, a: int, k_or: int) -> MoveDelta:
     wh = w[head]
     edge = tour.edge
 
-    best_d = math.inf
+    best_d = -inst.eps
     best_len = best_t = 0
     best_rev = False
     lo = 0
@@ -113,5 +113,5 @@ def or_opt_scan(inst: Instance, tour: Tour, a: int, k_or: int) -> MoveDelta:
             u = v
 
     if best_len == 0:
-        return MoveDelta("or-opt", (a, 0, 0, False), 0, False)
-    return MoveDelta("or-opt", (a, best_len, best_t, best_rev), best_d, True)
+        return MoveDelta("or-opt", (), 0)
+    return MoveDelta("or-opt", (a, best_len, best_t, best_rev), best_d)

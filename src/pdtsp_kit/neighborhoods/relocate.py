@@ -84,8 +84,7 @@ def removal_delta(w, seq, i: int, j: int):
 
 
 def relocate_pair_best(inst: Instance, tour: Tour, x: int) -> MoveDelta:
-    """Best relocation of pair (x, x+n); never positive since staying put
-    is one of the candidates."""
+    """Best improving relocation of pair (x, x+n), or the empty move."""
     nx = x + inst.n_pairs
     i, j = tour.pos[x], tour.pos[nx]
     seq = tour.seq
@@ -93,4 +92,7 @@ def relocate_pair_best(inst: Instance, tour: Tour, x: int) -> MoveDelta:
     d_rem = removal_delta(w, seq, i, j)
     rho = seq[:i] + seq[i + 1 : j] + seq[j + 1 :]
     d_ins, ip, jp = best_insertion(w, rho, x, nx)
-    return MoveDelta("relocate-pair", (x, ip, jp), d_rem + d_ins, True)
+    delta = d_rem + d_ins
+    if delta >= -inst.eps:
+        return MoveDelta("relocate-pair", (), 0)
+    return MoveDelta("relocate-pair", (x, ip, jp), delta)

@@ -8,7 +8,8 @@ recurses, or pays one 2-opt on (i, j) and flips the interior. R is
 infinite whenever the enclosing reversal would drag seq[i] past a
 delivery it serves or seq[j] past its pickup; nested flips cannot undo
 that. The root F over the full tour is never positive because shrinking
-to the empty interval gains zero.
+to the empty interval gains zero; unless it is below ``-inst.eps`` the
+scan returns the empty move without decoding.
 
 The tables are filled row by row, i descending and j ascending. Cell
 (i, j) reads only row i + 1 and the cells of row i left of j, so two
@@ -32,7 +33,8 @@ from ..tour import MoveDelta, Tour
 
 
 def two_k_opt_best(inst: Instance, tour: Tour) -> MoveDelta:
-    """Evaluates the full nested-2-opt family in O(n^2) and decodes the best."""
+    """Evaluates the full nested-2-opt family in O(n^2) and decodes the best
+    if it improves."""
     seq = tour.seq
     pos = tour.pos
     n = inst.n_pairs
@@ -103,6 +105,8 @@ def two_k_opt_best(inst: Instance, tour: Tour) -> MoveDelta:
     # ``left`` collects the output front to back and ``right`` back to
     # front; inside a reversed interval seq[i] goes to the back.
     delta = F_in[top]
+    if delta >= -inst.eps:
+        return MoveDelta("2k-opt", (), 0)
     left = []
     right = []
     flips = []
@@ -123,4 +127,4 @@ def two_k_opt_best(inst: Instance, tour: Tour) -> MoveDelta:
     if rev:
         mid.reverse()
     out = left + mid + right[::-1]
-    return MoveDelta("2k-opt", tuple(sorted(flips)), delta, True, tuple(out))
+    return MoveDelta("2k-opt", tuple(sorted(flips)), delta, tuple(out))

@@ -16,7 +16,8 @@ from ..tour import MoveDelta, Tour
 
 
 def two_opt_scan(inst: Instance, tour: Tour, i: int) -> MoveDelta:
-    """Best 2-opt whose left edge starts at position i, or an empty move.
+    """Best improving 2-opt whose left edge starts at position i, or the
+    empty move.
 
     j = i+2 reverses a single visit and is skipped as the identity; the
     scan starts at j = i+3 and truncates at the first span that would
@@ -27,7 +28,8 @@ def two_opt_scan(inst: Instance, tour: Tour, i: int) -> MoveDelta:
     n = inst.n_pairs
     w = inst.work_cost()
     top = len(seq) - 1
-    best = MoveDelta("2opt", (i, i + 2), 0, False)
+    best_d = -inst.eps
+    best_j = 0
     wi = w[seq[i]]
     ci = w[seq[i]][seq[i + 1]] if i + 1 <= top else 0
     for j in range(i + 3, top + 1):
@@ -35,6 +37,8 @@ def two_opt_scan(inst: Instance, tour: Tour, i: int) -> MoveDelta:
         if v > n and pos[v - n] > i:
             break
         d = wi[v] + w[seq[i + 1]][seq[j]] - ci - w[v][seq[j]]
-        if not best.feasible or d < best.delta:
-            best = MoveDelta("2opt", (i, j), d, True)
-    return best
+        if d < best_d:
+            best_d, best_j = d, j
+    if best_j:
+        return MoveDelta("2opt", (i, best_j), best_d)
+    return MoveDelta("2opt", (), 0)

@@ -6,7 +6,9 @@ its two positions, and the or-opt scans anchored there. When large
 neighborhoods are enabled the round then applies the single best
 improving move among the nested-2-opt program, the restricted 4-opt and
 the Balas-Simonetti graph, and the whole cycle repeats until one full
-round leaves the tour untouched.
+round leaves the tour untouched. Every scan returns its best improving
+move or the empty move, whose delta is 0, so a step keeps each strictly
+cheaper result and applies the one it kept unless that is empty.
 
 Whether a descent gets the large phase is decided once per descent,
 with probability ``p_large`` unless the caller forces it either way.
@@ -40,15 +42,16 @@ from .tour import Tour, apply_move
 
 
 def pair_step(inst: Instance, tour: Tour, x: int, k_or: int):
-    """Best small-neighborhood move for one pair; ties keep the earliest scan."""
+    """Best improving small-neighborhood move for one pair, or the empty
+    move; ties keep the earliest scan."""
     best = relocate_pair_best(inst, tour, x)
     for anchor in (x, x + inst.n_pairs):
         i = tour.pos[anchor]
         m = two_opt_scan(inst, tour, i)
-        if m.feasible and (not best.feasible or m.delta < best.delta):
+        if m.delta < best.delta:
             best = m
         m = or_opt_scan(inst, tour, i, k_or)
-        if m.feasible and (not best.feasible or m.delta < best.delta):
+        if m.delta < best.delta:
             best = m
     return best
 
@@ -63,13 +66,12 @@ def phase_one_sweep(
     found no improving move. A pair whose stamp equals the count is
     skipped, and each applied move advances the count.
     """
-    eps = inst.eps
     improved = False
     for x in order:
         if stamps is not None and stamps[x] == stamps[0]:
             continue
         best = pair_step(inst, tour, x, k_or)
-        if best.improves(eps):
+        if best.indices:
             improved = True
             apply_move(inst, tour, best)
             if stamps is not None:
@@ -81,15 +83,14 @@ def phase_one_sweep(
 
 def large_step(inst: Instance, tour: Tour, k_bs: int) -> bool:
     """Applies the best improving large-neighborhood move, if any."""
-    eps = inst.eps
     best = two_k_opt_best(inst, tour)
     m = four_opt_best(inst, tour)
-    if m.feasible and (not best.feasible or m.delta < best.delta):
+    if m.delta < best.delta:
         best = m
     m = bs_best(inst, tour, k_bs)
-    if m.feasible and (not best.feasible or m.delta < best.delta):
+    if m.delta < best.delta:
         best = m
-    if best.improves(eps):
+    if best.indices:
         apply_move(inst, tour, best)
         return True
     return False

@@ -21,22 +21,26 @@ from .instance import OPEN, Instance
 
 @dataclass
 class MoveDelta:
-    """One candidate move: its family, parameters, and exact cost change.
+    """One move: its family, parameters, and exact cost change.
 
     ``indices`` is interpreted per kind (positions, pair ids, slot ids).
-    Scans that found nothing report ``feasible=False`` with a zero delta.
     Kinds that rebuild the whole sequence (2k-opt, bs) carry it in
     ``seq_after``.
+
+    Every scan returns its best move that improves the tour by more than
+    ``inst.eps``, or the empty move ``MoveDelta(kind, (), 0)`` when none
+    does. Candidates keep each scan's own order and the first strict
+    minimum wins, so an improving result is the scan's best candidate
+    overall.
     """
 
     kind: str
     indices: tuple
     delta: float
-    feasible: bool
     seq_after: tuple | None = None
 
     def improves(self, eps: float) -> bool:
-        return self.feasible and self.delta < -eps
+        return self.delta < -eps
 
 
 def _edge_costs(inst: Instance, seq) -> list:
@@ -172,11 +176,13 @@ def apply_move(inst: Instance, tour: Tour, move: MoveDelta) -> None:
     """Applies a MoveDelta in place, updating sequence, positions, edge
     costs and cost.
 
-    Deltas are trusted: the cached cost is advanced by ``move.delta``
-    rather than recomputed, which keeps integer instances exact.
+    Moves are trusted as the scans build them: a relocation names its
+    pair's pickup in a precedence-feasible tour, and the cached cost is
+    advanced by ``move.delta`` rather than recomputed, which keeps
+    integer instances exact.
     """
-    if not move.feasible:
-        raise ValueError("cannot apply a move from an empty scan")
+    if not move.indices:
+        raise ValueError("cannot apply the empty move")
     seq = tour.seq
     kind = move.kind
 
@@ -186,13 +192,9 @@ def apply_move(inst: Instance, tour: Tour, move: MoveDelta) -> None:
             seq[i + 1 : j] = seq[j - 1 : i : -1]
     elif kind == "relocate-pair":
         x, ip, jp = move.indices
-        nx = inst.partner(x)
-        i, j = tour.pos[x], tour.pos[nx]
-        if i > j:
-            i, j = j, i
-            x, nx = nx, x
-        del seq[j]
-        del seq[i]
+        nx = x + inst.n_pairs
+        del seq[tour.pos[nx]]
+        del seq[tour.pos[x]]
         insert_pair(seq, x, nx, ip, jp)
     elif kind == "or-opt":
         a, L, t, rev = move.indices

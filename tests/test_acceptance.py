@@ -306,7 +306,7 @@ def test_segment_exchange_tables_and_moves_validate():
         assert steps == list(range(1, top - 1))
 
         mv = four_opt_best(inst, tour)
-        if mv.feasible:
+        if mv.indices:
             seen[mv.kind] += 1
             after = _splice_four_opt(seq, mv.kind, mv.indices)
             assert sorted(after) == sorted(seq)
@@ -352,7 +352,10 @@ def test_window_reorder_graph_matches_enumeration_within_width_bounds():
 
 
 def test_sweep_time_scales_quadratically():
-    means = []
+    # Each repetition times all three sizes back to back, and each size
+    # keeps its fastest sweep, so a slow spell of the host falls on
+    # every size alike instead of on one of them.
+    cases = []
     for n in (128, 256, 512):
         rng = random.Random(7)
         pts = [(rng.uniform(0, 1000), rng.uniform(0, 1000)) for _ in range(2 * n + 1)]
@@ -361,20 +364,20 @@ def test_sweep_time_scales_quadratically():
         order = range(1, n + 1)
         for x in order:  # warm caches
             pair_step(inst, tour, x, 30)
-        reps = []
-        gc.disable()
-        try:
-            for _ in range(5):
+        cases.append((inst, tour, order))
+    best = [math.inf] * len(cases)
+    gc.disable()
+    try:
+        for _ in range(5):
+            for k, (inst, tour, order) in enumerate(cases):
                 t0 = time.perf_counter()
                 for x in order:
                     pair_step(inst, tour, x, 30)
-                reps.append(time.perf_counter() - t0)
-        finally:
-            gc.enable()
-        reps.sort()
-        means.append(sum(reps[1:4]) / 3)  # trimmed mean damps scheduler noise
-    ratios = [b / a for a, b in zip(means, means[1:])]
-    assert all(3.0 <= r <= 6.0 for r in ratios), (means, ratios)
+                best[k] = min(best[k], time.perf_counter() - t0)
+    finally:
+        gc.enable()
+    ratios = [b / a for a, b in zip(best, best[1:])]
+    assert all(3.0 <= r <= 6.0 for r in ratios), (best, ratios)
 
 
 # ---------------------------------------------------------------------------
@@ -393,14 +396,7 @@ def test_open_tour_runs_hit_optimum_within_milliseconds():
                 inst, HgsParams(max_no_improve=100), random.Random(seed), stats
             )
             outs.append((best.cost, stats["ttb"]))
-        if n <= MAX_PAIRS:
-            ref = brute_force_optimal(inst).cost
-        else:
-            probes = [
-                rr_run(inst, RrParams(iters=10000), random.Random(s)).cost
-                for s in (55, 56)
-            ]
-            ref = min(min(c for c, _ in outs), min(probes))
+        ref = brute_force_optimal(inst).cost
         runs.extend((c == ref, t) for c, t in outs)
     hits = sum(h for h, _ in runs)
     assert hits >= 0.99 * len(runs), (hits, len(runs))

@@ -8,6 +8,7 @@ from pdtsp_kit.instance import generate_pairs
 from pdtsp_kit.neighborhoods import four_opt_best, four_opt_type1_any
 from pdtsp_kit.neighborhoods.oracles import four_opt_oracle
 from pdtsp_kit.tour import (
+    MoveDelta,
     Tour,
     apply_move,
     check_precedence,
@@ -27,8 +28,8 @@ def test_matches_oracle_and_applies_cleanly():
                 tour = random_feasible_tour(rng, inst)
                 mv = four_opt_best(inst, tour)
                 ref = four_opt_oracle(inst, tour)
-                assert mv.feasible == ref.feasible
-                if mv.feasible:
+                assert bool(mv.indices) == bool(ref.indices)
+                if mv.indices:
                     found += 1
                     assert mv.kind == ref.kind
                     assert mv.indices == ref.indices
@@ -55,8 +56,8 @@ def test_matches_oracle_on_open_and_float_tours():
                 tour = random_feasible_tour(rng, inst)
                 mv = four_opt_best(inst, tour)
                 ref = four_opt_oracle(inst, tour)
-                assert mv.feasible == ref.feasible
-                if not mv.feasible:
+                assert bool(mv.indices) == bool(ref.indices)
+                if not mv.indices:
                     continue
                 found += 1
                 assert mv.kind == ref.kind
@@ -90,7 +91,7 @@ def test_type_ties_resolve_like_the_oracle():
         mv = four_opt_best(inst, tour)
         ref = four_opt_oracle(inst, tour)
         assert (mv.kind, mv.indices, mv.delta) == (ref.kind, ref.indices, ref.delta)
-        if not mv.feasible:
+        if not mv.indices:
             continue
         chosen = four_opt_splice(tour.seq, mv.kind, mv.indices)
         for kind in kinds[kinds.index(mv.kind) + 1 :]:
@@ -110,9 +111,9 @@ def test_too_short_returns_empty():
     rng = random.Random(61)
     inst = euclid_instance(rng, 2)
     tour = Tour.identity(inst)
-    mv = four_opt_best(inst, tour)
-    assert not mv.feasible
-    assert four_opt_type1_any(inst, tour.seq) is None
+    empty = MoveDelta("4opt-type1", (), 0)
+    assert four_opt_best(inst, tour) == empty
+    assert four_opt_type1_any(inst, tour.seq) == empty
 
 
 def test_float_instances():
@@ -122,17 +123,30 @@ def test_float_instances():
         tour = random_feasible_tour(rng, inst)
         mv = four_opt_best(inst, tour)
         ref = four_opt_oracle(inst, tour)
-        assert mv.feasible == ref.feasible
-        if mv.feasible:
+        assert bool(mv.indices) == bool(ref.indices)
+        if mv.indices:
             assert mv.indices == ref.indices
             assert mv.delta == pytest.approx(ref.delta, rel=1e-9, abs=1e-7)
 
 
+def _type1(seq, i1, i2, j1, j2):
+    return (
+        seq[: i1 + 1]
+        + seq[j1 + 1 : j2 + 1]
+        + seq[i2 + 1 : j1 + 1]
+        + seq[i1 + 1 : i2 + 1]
+        + seq[j2 + 1 :]
+    )
+
+
 def test_type1_any_matches_brute_force_on_raw_sequences():
+    # Each shuffled sequence takes the helper's move until it returns
+    # the empty move, checking every result against full enumeration.
     rng = random.Random(63)
     cases = [(euclid_instance, "closed", n) for n in (3, 4, 5)]
     cases += [(euclid_instance, "open", n) for n in (3, 4, 5)]
     cases += [(float_instance, mode, n) for mode in ("closed", "open") for n in (3, 5)]
+    moves = empties = 0
     for build, mode, n in cases:
         inst = build(rng, n, mode=mode)
         exact = build is euclid_instance
@@ -141,36 +155,32 @@ def test_type1_any_matches_brute_force_on_raw_sequences():
             middle = base[1:-1]
             rng.shuffle(middle)
             seq = [base[0]] + middle + [base[-1]]
-            res = four_opt_type1_any(inst, seq)
-            assert res is not None
-            delta, (i1, i2, j1, j2) = res
             top = len(seq) - 1
-            best = None
-            for bi1 in range(top - 3):
-                for bi2 in range(bi1 + 1, top - 2):
-                    for bj1 in range(bi2 + 1, top - 1):
-                        for bj2 in range(bj1 + 1, top):
-                            new = (
-                                seq[: bi1 + 1]
-                                + seq[bj1 + 1 : bj2 + 1]
-                                + seq[bi2 + 1 : bj1 + 1]
-                                + seq[bi1 + 1 : bi2 + 1]
-                                + seq[bj2 + 1 :]
-                            )
-                            d = tour_cost(inst, new) - tour_cost(inst, seq)
-                            if best is None or d < best:
-                                best = d
-            new = (
-                seq[: i1 + 1]
-                + seq[j1 + 1 : j2 + 1]
-                + seq[i2 + 1 : j1 + 1]
-                + seq[i1 + 1 : i2 + 1]
-                + seq[j2 + 1 :]
-            )
-            realized = tour_cost(inst, new) - tour_cost(inst, seq)
-            if exact:
-                assert delta == best
-                assert realized == delta
-            else:
-                assert delta == pytest.approx(best, rel=1e-9, abs=1e-7)
-                assert realized == pytest.approx(delta, rel=1e-9, abs=1e-7)
+            while True:
+                res = four_opt_type1_any(inst, seq)
+                cost = tour_cost(inst, seq)
+                best = min(
+                    tour_cost(inst, _type1(seq, bi1, bi2, bj1, bj2)) - cost
+                    for bi1 in range(top - 3)
+                    for bi2 in range(bi1 + 1, top - 2)
+                    for bj1 in range(bi2 + 1, top - 1)
+                    for bj2 in range(bj1 + 1, top)
+                )
+                if best >= -inst.eps:
+                    assert res == MoveDelta("4opt-type1", (), 0)
+                    empties += 1
+                    break
+                moves += 1
+                assert res.kind == "4opt-type1"
+                new = _type1(seq, *res.indices)
+                assert new == four_opt_splice(seq, res.kind, res.indices)
+                realized = tour_cost(inst, new) - cost
+                if exact:
+                    assert res.delta == best
+                    assert realized == res.delta
+                else:
+                    assert res.delta == pytest.approx(best, rel=1e-9, abs=1e-7)
+                    assert realized == pytest.approx(res.delta, rel=1e-9, abs=1e-7)
+                seq = new
+    assert empties == len(cases) * 8
+    assert moves > empties

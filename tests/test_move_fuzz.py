@@ -1,10 +1,13 @@
 """Property test of ``apply_move`` on the moves the scans return.
 
 Random feasible tours, integer and float costs, open and closed, take
-the best feasible move of each scan in turn, improving or not. After
-every move the tour must stay a feasible permutation bracketed by the
-depot and the terminal, with positions, edge costs and cost in step
-with its sequence.
+the move of each scan in turn. Every result must be the empty move or
+improve by more than ``inst.eps`` and realize its delta. After every
+move the tour must stay a feasible permutation bracketed by the depot
+and the terminal, with positions, edge costs and cost in step with its
+sequence. ``four_opt_type1_any`` ignores precedence, so its move is
+realized on the bare sequence and applied only when that stays
+feasible.
 """
 
 import random
@@ -14,12 +17,13 @@ from hypothesis import given, settings, strategies as st
 from pdtsp_kit.neighborhoods import (
     bs_best,
     four_opt_best,
+    four_opt_type1_any,
     or_opt_scan,
     relocate_pair_best,
     two_k_opt_best,
     two_opt_scan,
 )
-from pdtsp_kit.tour import apply_move, check_precedence, tour_cost
+from pdtsp_kit.tour import apply_move, check_precedence, four_opt_splice, tour_cost
 from helpers import euclid_instance, float_instance, random_feasible_tour
 
 # Scan name -> call taking (inst, tour, a); ``a`` picks the pair or the
@@ -31,6 +35,7 @@ SCANS = {
     "two_k_opt": lambda inst, t, a: two_k_opt_best(inst, t),
     "four_opt": lambda inst, t, a: four_opt_best(inst, t),
     "bs": lambda inst, t, a: bs_best(inst, t, 3),
+    "type1_any": lambda inst, t, a: four_opt_type1_any(inst, t.seq),
 }
 
 
@@ -43,10 +48,14 @@ def check_invariants(inst, tour):
     assert seq[tour.pos[inst.end]] == inst.end  # a closed tour's depot sits at 0
     assert not check_precedence(inst, seq)
     assert tour.edge == [tour_cost(inst, seq[t : t + 2]) for t in range(nv)]
+    check_cost(inst, tour.cost, tour_cost(inst, seq))
+
+
+def check_cost(inst, got, want):
     if inst.integral:
-        assert tour.cost == tour_cost(inst, seq)
+        assert got == want
     else:
-        assert abs(tour.cost - tour_cost(inst, seq)) <= inst.eps
+        assert abs(got - want) <= inst.eps
 
 
 @settings(max_examples=60, deadline=None)
@@ -67,6 +76,16 @@ def test_scan_moves_keep_tour_invariants(seed, n, integral, mode, steps):
     check_invariants(inst, tour)
     for name, anchor in steps:
         move = SCANS[name](inst, tour, anchor)
-        if move.feasible:
-            apply_move(inst, tour, move)
+        if not move.indices:
+            assert move.indices == () and move.delta == 0
+            continue
+        assert move.delta < -inst.eps
+        before = tour_cost(inst, tour.seq)
+        if name == "type1_any":
+            new = four_opt_splice(tour.seq, move.kind, move.indices)
+            check_cost(inst, before + move.delta, tour_cost(inst, new))
+            if check_precedence(inst, new):
+                continue
+        apply_move(inst, tour, move)
+        check_cost(inst, before + move.delta, tour_cost(inst, tour.seq))
         check_invariants(inst, tour)

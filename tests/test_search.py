@@ -6,6 +6,8 @@ import time
 import pytest
 
 import pdtsp_kit.search as search
+from pdtsp_kit.instance import Instance
+from pdtsp_kit.metaheuristics import greedy_construct
 from pdtsp_kit.neighborhoods import SearchParams
 from pdtsp_kit.oracle import brute_force_optimal
 from pdtsp_kit.search import large_step, local_search, pair_step, phase_one_sweep
@@ -20,7 +22,8 @@ def test_pair_step_apply_keeps_feasibility():
         tour = random_feasible_tour(rng, inst)
         for x in range(1, inst.n_pairs + 1):
             mv = pair_step(inst, tour, x, 30)
-            if mv.feasible and mv.improves(inst.eps):
+            assert mv.improves(inst.eps) == bool(mv.indices)
+            if mv.indices:
                 apply_move(inst, tour, mv)
                 assert tour.is_feasible()
                 assert tour.cost == tour_cost(inst, tour.seq)
@@ -170,3 +173,43 @@ def test_descent_stops_at_deadline():
     assert tour.seq != before
     assert tour.is_feasible()
     assert tour.cost == tour_cost(inst, tour.seq)
+
+
+# Descents from a greedy tour with the large step on every round,
+# recorded at commit 20b5845, before the scans returned only improving
+# moves. Between them they apply every move kind: the closed integer
+# run or-opt, relocation, 2-opt, type-1 4-opt and Balas-Simonetti; the
+# open float run also nested 2-opt; the matrix-only run a type-2b 4-opt.
+PINNED_DESCENTS = [
+    (
+        lambda: euclid_instance(random.Random(1126), 24, span=1000),
+        6589,
+        [0, 1, 10, 7, 19, 12, 4, 17, 8, 6, 31, 15, 21, 24, 48, 43, 18, 45, 32,
+         16, 22, 14, 42, 38, 20, 39, 5, 23, 34, 13, 29, 28, 11, 30, 3, 46, 25,
+         44, 40, 41, 47, 2, 36, 9, 26, 37, 33, 27, 35, 0],
+    ),
+    (
+        lambda: float_instance(random.Random(1105), 22, mode="open"),
+        628.4366103085139,
+        [0, 22, 1, 20, 10, 2, 11, 8, 6, 7, 13, 16, 5, 18, 21, 23, 35, 24, 17,
+         4, 43, 28, 14, 44, 19, 15, 38, 36, 33, 40, 37, 3, 12, 34, 39, 9, 41,
+         31, 29, 32, 25, 42, 26, 27, 30, 45],
+    ),
+    (
+        lambda: Instance(26, euclid_instance(random.Random(1102), 26, span=300).cost),
+        2164,
+        [0, 12, 7, 3, 23, 25, 19, 51, 2, 20, 45, 8, 11, 1, 4, 33, 21, 26, 13,
+         34, 15, 5, 16, 30, 37, 14, 24, 49, 50, 42, 38, 17, 31, 47, 46, 28, 6,
+         43, 32, 27, 52, 9, 10, 41, 36, 18, 39, 40, 29, 22, 44, 35, 48, 0],
+    ),
+]
+
+
+@pytest.mark.parametrize("make, cost, seq", PINNED_DESCENTS)
+def test_descent_trajectory_is_pinned(make, cost, seq):
+    inst = make()
+    rng = random.Random(11)
+    tour = greedy_construct(inst, rng)
+    local_search(inst, tour, SearchParams(), rng, use_large=True)
+    assert (tour.cost, tour.seq) == (cost, seq)
+    assert type(tour.cost) is type(cost)

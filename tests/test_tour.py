@@ -67,11 +67,11 @@ def test_apply_relocate_and_cost_bookkeeping():
     t = random_feasible_tour(rng, inst)
     before = t.cost
     # Relocate pair 1 consecutively after slot 0 of the remainder.
-    mv = MoveDelta("relocate-pair", (1, 0, 0), 0, True)
+    mv = MoveDelta("relocate-pair", (1, 0, 0), 0)
     rho = [v for v in t.seq if v not in (1, 1 + 4)]
     expect = rho[:1] + [1, 5] + rho[1:]
     delta = tour_cost(inst, expect) - t.cost
-    mv = MoveDelta("relocate-pair", (1, 0, 0), delta, True)
+    mv = MoveDelta("relocate-pair", (1, 0, 0), delta)
     apply_move(inst, t, mv)
     assert t.seq == expect
     assert t.cost == before + delta
@@ -85,7 +85,7 @@ def test_apply_split_relocate():
     rho = [0, 2, 3, 5, 6, 0]
     expect = rho[:2] + [1] + rho[2:4] + [4] + rho[4:]
     delta = tour_cost(inst, expect) - t.cost
-    apply_move(inst, t, MoveDelta("relocate-pair", (1, 1, 3), delta, True))
+    apply_move(inst, t, MoveDelta("relocate-pair", (1, 1, 3), delta))
     assert t.seq == expect
     assert t.cost == tour_cost(inst, t.seq)
 
@@ -95,11 +95,11 @@ def test_apply_two_opt_and_identity():
     inst = euclid_instance(rng, 3)
     t = Tour.identity(inst)
     before = list(t.seq)
-    apply_move(inst, t, MoveDelta("2opt", (1, 3), 0, True))  # identity span
+    apply_move(inst, t, MoveDelta("2opt", (1, 3), 0))  # identity span
     assert t.seq == before
     expect = before[:2] + before[4:1:-1] + before[5:]
     delta = tour_cost(inst, expect) - t.cost
-    apply_move(inst, t, MoveDelta("2opt", (1, 5), delta, True))
+    apply_move(inst, t, MoveDelta("2opt", (1, 5), delta))
     assert t.seq == expect
     assert t.cost == tour_cost(inst, t.seq)
 
@@ -112,7 +112,7 @@ def test_apply_or_opt_reversed():
     rho = [0, 1, 4, 5, 6, 0]
     expect = rho[:4] + [3, 2] + rho[4:]
     delta = tour_cost(inst, expect) - t.cost
-    apply_move(inst, t, MoveDelta("or-opt", (2, 2, 3, True), delta, True))
+    apply_move(inst, t, MoveDelta("or-opt", (2, 2, 3, True), delta))
     assert t.seq == expect
     assert t.cost == tour_cost(inst, t.seq)
 
@@ -123,7 +123,7 @@ def test_apply_seq_after_kinds():
     t = Tour.identity(inst)
     new = (0, 2, 1, 3, 5, 4, 6, 0)
     delta = tour_cost(inst, list(new)) - t.cost
-    apply_move(inst, t, MoveDelta("bs", (3,), delta, True, new))
+    apply_move(inst, t, MoveDelta("bs", (3,), delta, new))
     assert t.seq == list(new)
     assert t.cost == tour_cost(inst, t.seq)
     assert t.pos[2] == 1
@@ -144,7 +144,7 @@ def test_apply_four_opt(kind):
         "4opt-type2b": P1 + P4 + P2[::-1] + P3[::-1] + P5,
     }[kind]
     delta = tour_cost(inst, expect) - t.cost
-    apply_move(inst, t, MoveDelta(kind, (i1, i2, j1, j2), delta, True))
+    apply_move(inst, t, MoveDelta(kind, (i1, i2, j1, j2), delta))
     assert t.seq == expect
 
 
@@ -152,10 +152,10 @@ def test_apply_rejects_empty_and_unknown():
     rng = random.Random(12)
     inst = euclid_instance(rng, 2)
     t = Tour.identity(inst)
-    with pytest.raises(ValueError):
-        apply_move(inst, t, MoveDelta("2opt", (0, 2), 0, False))
-    with pytest.raises(ValueError):
-        apply_move(inst, t, MoveDelta("warp", (), 0, True))
+    with pytest.raises(ValueError, match="empty"):
+        apply_move(inst, t, MoveDelta("2opt", (), 0))
+    with pytest.raises(ValueError, match="unknown"):
+        apply_move(inst, t, MoveDelta("warp", (1,), 0))
 
 
 def test_copy_independent():
@@ -163,7 +163,7 @@ def test_copy_independent():
     inst = euclid_instance(rng, 3)
     t = random_feasible_tour(rng, inst)
     dup = t.copy()
-    apply_move(inst, t, MoveDelta("2opt", (1, 3), 0, True))
+    apply_move(inst, t, MoveDelta("2opt", (1, 3), 0))
     assert dup.seq is not t.seq and dup.pos is not t.pos
     assert dup.cost == tour_cost(inst, dup.seq)
 
@@ -184,28 +184,33 @@ def test_edge_costs_follow_every_move_kind(mode):
         rng.shuffle(inner)
         return tuple(t.seq[:1] + inner + t.seq[-1:])
 
+    def flipped():
+        # The nested-2-opt move made of the single flip (1, 6).
+        return tuple(t.seq[:2] + t.seq[5:1:-1] + t.seq[6:])
+
     moves = [
         ("relocate-pair", (1, 0, 0), None),
         ("relocate-pair", (2, 1, 3), None),
         ("2opt", (1, 5), None),
         ("or-opt", (2, 2, 3, True), None),
         ("or-opt", (3, 1, 5, False), None),
-        ("2k-opt", (), shuffled()),
-        ("bs", (3,), shuffled()),
+        ("2k-opt", ((1, 6),), flipped),
+        ("bs", (3,), shuffled),
         ("4opt-type1", (1, 3, 5, 7), None),
         ("4opt-type2a", (1, 3, 5, 7), None),
         ("4opt-type2b", (2, 3, 6, 8), None),
     ]
-    for kind, indices, seq_after in moves:
+    for kind, indices, after in moves:
+        seq_after = after() if after else None
         # A copy takes the move first; the original's edges stay put.
         probe = t.copy()
         assert probe.edge == t.edge
         before = list(t.edge)
-        apply_move(inst, probe, MoveDelta(kind, indices, 0, True, seq_after))
+        apply_move(inst, probe, MoveDelta(kind, indices, 0, seq_after))
         assert t.edge == before
         assert probe.edge == _edges(inst, probe.seq)
         delta = tour_cost(inst, probe.seq) - t.cost
-        apply_move(inst, t, MoveDelta(kind, indices, delta, True, seq_after))
+        apply_move(inst, t, MoveDelta(kind, indices, delta, seq_after))
         assert t.seq == probe.seq
         assert t.edge == _edges(inst, t.seq), kind
         assert t.cost == tour_cost(inst, t.seq) == sum(t.edge)

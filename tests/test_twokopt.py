@@ -6,7 +6,7 @@ import pytest
 
 from pdtsp_kit.neighborhoods import two_k_opt_best
 from pdtsp_kit.neighborhoods.oracles import two_k_opt_oracle
-from pdtsp_kit.tour import apply_move, tour_cost
+from pdtsp_kit.tour import MoveDelta, apply_move, tour_cost
 from helpers import euclid_instance, float_instance, random_feasible_tour
 
 
@@ -87,6 +87,5 @@ def test_identity_when_tour_already_good():
     ) + [0]
     tour = Tour(inst, seq)
     mv = two_k_opt_best(inst, tour)
-    assert mv.delta == 0
-    assert list(mv.seq_after) == seq
-    assert mv.indices == ()
+    assert mv == MoveDelta("2k-opt", (), 0)
+    assert two_k_opt_oracle(inst, tour) == mv
