@@ -116,6 +116,8 @@ class Instance:
     coords: list | None = None
     rounding: str = ROUND_NONE
     _work: list | None = field(default=None, init=False, repr=False, compare=False)
+    # Or-opt's screen state, built on its first wide scan; see neighborhoods/oropt.py.
+    _screen: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.validate()

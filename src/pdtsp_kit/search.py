@@ -57,19 +57,28 @@ def pair_step(inst: Instance, tour: Tour, x: int, k_or: int):
 
 
 def phase_one_sweep(
-    inst: Instance, tour: Tour, order, k_or: int, *, stamps: list | None = None
+    inst: Instance,
+    tour: Tour,
+    order,
+    k_or: int,
+    *,
+    stamps: list | None = None,
+    deadline: float | None = None,
 ) -> bool:
     """One pass over ``order`` that applies each pair's best improving move.
 
     ``stamps``, used by ``local_search``, holds the count of applied
     moves at index 0 and, at index x, the count at which pair x last
     found no improving move. A pair whose stamp equals the count is
-    skipped, and each applied move advances the count.
+    skipped, and each applied move advances the count. The pass stops
+    before any pair step that would start after ``deadline``.
     """
     improved = False
     for x in order:
         if stamps is not None and stamps[x] == stamps[0]:
             continue
+        if deadline is not None and time.perf_counter() >= deadline:
+            break
         best = pair_step(inst, tour, x, k_or)
         if best.indices:
             improved = True
@@ -108,9 +117,9 @@ def local_search(
     """Runs the tour to a local optimum in place and returns it.
 
     With a ``deadline`` (a ``time.perf_counter()`` value) the descent
-    stops before any round that would start after it, so the tour may
+    starts no round, pair step or large step after it, so the tour may
     be short of a local optimum; it is still feasible and its cost is
-    exact.
+    exact. Without one, no clock is read.
     """
     if use_large is None:
         use_large = rng.random() < params.p_large
@@ -123,8 +132,12 @@ def local_search(
         if deadline is not None and time.perf_counter() >= deadline:
             break
         rng.shuffle(pairs)
-        improved = phase_one_sweep(inst, tour, pairs, params.k_or, stamps=stamps)
+        improved = phase_one_sweep(
+            inst, tour, pairs, params.k_or, stamps=stamps, deadline=deadline
+        )
         if use_large and large_stamp != stamps[0]:
+            if deadline is not None and time.perf_counter() >= deadline:
+                break
             if large_step(inst, tour, params.k_bs):
                 stamps[0] += 1
                 improved = True

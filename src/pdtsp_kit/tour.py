@@ -72,7 +72,9 @@ class Tour:
 
     ``edge`` is derived state: ``edge[t]`` is the cost of the tour edge
     (seq[t], seq[t+1]). ``recost`` builds it and only ``apply_move``
-    advances it. Both assign a new list, so copies share it safely.
+    advances it. Both assign a new list, so copies share it safely, and
+    or-opt's screen can tell by the list's identity whether the tour it
+    indexed has changed.
     """
 
     __slots__ = ("inst", "seq", "pos", "cost", "edge")

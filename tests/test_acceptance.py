@@ -26,8 +26,10 @@ from pdtsp_kit.metaheuristics import (
 from pdtsp_kit.neighborhoods import (
     bs_optimize,
     four_opt_best,
+    or_opt_scan,
     relocate_pair_best,
     two_k_opt_best,
+    two_opt_scan,
 )
 from pdtsp_kit.neighborhoods.fouropt import _partner_rows
 from pdtsp_kit.neighborhoods.relocate import best_insertion
@@ -38,7 +40,6 @@ from pdtsp_kit.neighborhoods.oracles import (
     two_k_opt_oracle,
 )
 from pdtsp_kit.oracle import MAX_PAIRS, brute_force_optimal
-from pdtsp_kit.search import pair_step
 from pdtsp_kit.tour import Tour, check_precedence, tour_cost
 from helpers import euclid_instance, random_feasible_tour
 
@@ -346,15 +347,30 @@ def test_window_reorder_graph_matches_enumeration_within_width_bounds():
 
 
 # ---------------------------------------------------------------------------
-# Scanning every pair once, without applying moves, should look
-# quadratic: doubling the visit count multiplies its wall time by
-# roughly four.
+# Scanning every pair once, without applying moves: pair relocation and
+# 2-opt should look quadratic, doubling the visit count multiplying
+# their wall time by roughly four. The or-opt pass screens out the slots
+# that cannot improve, so it must merely grow no faster than that.
+
+
+def _relocate_and_two_opt_sweep(inst, tour, order):
+    for x in order:
+        relocate_pair_best(inst, tour, x)
+        two_opt_scan(inst, tour, tour.pos[x])
+        two_opt_scan(inst, tour, tour.pos[x + inst.n_pairs])
+
+
+def _or_opt_sweep(inst, tour, order):
+    for x in order:
+        or_opt_scan(inst, tour, tour.pos[x], 30)
+        or_opt_scan(inst, tour, tour.pos[x + inst.n_pairs], 30)
 
 
 def test_sweep_time_scales_quadratically():
     # Each repetition times all three sizes back to back, and each size
-    # keeps its fastest sweep, so a slow spell of the host falls on
-    # every size alike instead of on one of them.
+    # keeps its fastest sweep of each kind, so a slow spell of the host
+    # falls on every size alike instead of on one of them.
+    sweeps = (_relocate_and_two_opt_sweep, _or_opt_sweep)
     cases = []
     for n in (128, 256, 512):
         rng = random.Random(7)
@@ -362,22 +378,23 @@ def test_sweep_time_scales_quadratically():
         inst = generate_pairs(pts, "C", rng, name=f"scale-C{n}")
         tour = greedy_construct(inst, random.Random(1))
         order = range(1, n + 1)
-        for x in order:  # warm caches
-            pair_step(inst, tour, x, 30)
+        for sweep in sweeps:  # warm caches
+            sweep(inst, tour, order)
         cases.append((inst, tour, order))
-    best = [math.inf] * len(cases)
+    best = [[math.inf] * len(cases) for _ in sweeps]
     gc.disable()
     try:
         for _ in range(5):
             for k, (inst, tour, order) in enumerate(cases):
-                t0 = time.perf_counter()
-                for x in order:
-                    pair_step(inst, tour, x, 30)
-                best[k] = min(best[k], time.perf_counter() - t0)
+                for s, sweep in enumerate(sweeps):
+                    t0 = time.perf_counter()
+                    sweep(inst, tour, order)
+                    best[s][k] = min(best[s][k], time.perf_counter() - t0)
     finally:
         gc.enable()
-    ratios = [b / a for a, b in zip(best, best[1:])]
-    assert all(3.0 <= r <= 6.0 for r in ratios), (best, ratios)
+    quad, oropt = ([b / a for a, b in zip(row, row[1:])] for row in best)
+    assert all(3.0 <= r <= 6.0 for r in quad), (best, quad)
+    assert all(r <= 6.0 for r in oropt), (best, oropt)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,8 @@ import pytest
 
 from pdtsp_kit.neighborhoods import bs_best, bs_optimize
 from pdtsp_kit.neighborhoods.oracles import bs_oracle, bs_oracle_pairwise
-from pdtsp_kit.tour import apply_move, check_precedence, tour_cost
-from helpers import euclid_instance, float_instance, random_feasible_tour
+from pdtsp_kit.tour import MoveDelta, apply_move, check_precedence, tour_cost
+from helpers import euclid_instance, float_instance, line_tour, random_feasible_tour
 
 
 def window_ok(orig_seq, new_seq, k):
@@ -86,14 +86,24 @@ def test_layer_widths_bounded():
 def test_bs_best_move_improves_or_matches():
     rng = random.Random(75)
     inst = euclid_instance(rng, 5)
-    for _ in range(6):
-        tour = random_feasible_tour(rng, inst)
+    cases = [(inst, random_feasible_tour(rng, inst)) for _ in range(6)]
+    line = line_tour(5)
+    cases.append((line.inst, line))
+    empties = 0
+    for inst, tour in cases:
         mv = bs_best(inst, tour, 3)
-        assert mv.delta <= 0
+        if not mv.indices:
+            empties += 1
+            assert mv == MoveDelta("bs", (), 0)
+            ref_cost, _ = bs_oracle(inst, tour.seq, 3)
+            assert ref_cost == tour.cost
+            continue
+        assert mv.delta < 0
         trial = tour.copy()
         apply_move(inst, trial, mv)
         assert trial.is_feasible()
         assert trial.cost == tour_cost(inst, trial.seq)
+    assert empties >= 1
 
 
 def test_k_validation():

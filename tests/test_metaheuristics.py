@@ -396,6 +396,23 @@ def test_hgs_time_budget_bounds_every_descent():
     assert best.cost == stats["cost"] == tour_cost(inst, best.seq)
 
 
+def test_hgs_overruns_tmax_by_at_most_one_step_at_n200():
+    # A descent from a greedy n = 200 tour outlasts the whole budget, so
+    # only the deadline checks before each pair step stop it. With solver
+    # seed 2 no descent takes the large phase within the first 2 s: a
+    # large step starts only before the deadline, but it takes about
+    # 0.3 s. Overruns of this call measured on a 2-core shared host:
+    # 0.4-2.4 ms in 24 runs, 12 of them with the other core busy; with
+    # checks only before each round they were 5-184 ms in 6 runs. The
+    # bound is twice the largest, 4.8 ms, rounded up.
+    inst = float_instance(random.Random(105), 200, mode="open")
+    t0 = time.perf_counter()
+    best = hgs_run(inst, HgsParams(tmax=1.0), random.Random(2))
+    overrun = time.perf_counter() - t0 - 1.0
+    assert overrun < 0.005, overrun
+    assert best.is_feasible()
+
+
 def test_hgs_params_validation():
     with pytest.raises(ValueError):
         HgsParams()  # no stop rule

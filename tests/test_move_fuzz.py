@@ -8,6 +8,11 @@ and the terminal, with positions, edge costs and cost in step with its
 sequence. ``four_opt_type1_any`` ignores precedence, so its move is
 realized on the bare sequence and applied only when that stays
 feasible.
+
+Tours of 10 pairs or more reach or-opt's gain screen, whose per-tour
+index must follow every move and every copy: after each step, or-opt
+at the step's anchor must give the full loop's result on the tour and
+on the copy it was last split from.
 """
 
 import random
@@ -24,7 +29,12 @@ from pdtsp_kit.neighborhoods import (
     two_opt_scan,
 )
 from pdtsp_kit.tour import apply_move, check_precedence, four_opt_splice, tour_cost
-from helpers import euclid_instance, float_instance, random_feasible_tour
+from helpers import (
+    euclid_instance,
+    float_instance,
+    or_opt_full_pricing,
+    random_feasible_tour,
+)
 
 # Scan name -> call taking (inst, tour, a); ``a`` picks the pair or the
 # anchor position of the scans that take one.
@@ -58,14 +68,21 @@ def check_cost(inst, got, want):
         assert abs(got - want) <= inst.eps
 
 
+def check_or_opt(inst, tour, anchor):
+    a = 1 + anchor % (2 * inst.n_pairs)
+    move = or_opt_scan(inst, tour, a, 30)
+    assert (move.indices, move.delta) == or_opt_full_pricing(inst, tour, a, 30)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**32),
-    n=st.integers(2, 8),
+    n=st.integers(2, 20),
     integral=st.booleans(),
     mode=st.sampled_from(["closed", "open"]),
     steps=st.lists(
-        st.tuples(st.sampled_from(sorted(SCANS)), st.integers(0, 99)), max_size=12
+        st.tuples(st.sampled_from(sorted(SCANS) + ["copy"]), st.integers(0, 99)),
+        max_size=12,
     ),
 )
 def test_scan_moves_keep_tour_invariants(seed, n, integral, mode, steps):
@@ -73,8 +90,14 @@ def test_scan_moves_keep_tour_invariants(seed, n, integral, mode, steps):
     make = euclid_instance if integral else float_instance
     inst = make(rng, n, mode=mode)
     tour = random_feasible_tour(rng, inst)
+    twin = tour
     check_invariants(inst, tour)
     for name, anchor in steps:
+        check_or_opt(inst, tour, anchor)
+        check_or_opt(inst, twin, anchor)
+        if name == "copy":
+            twin, tour = tour, tour.copy()
+            continue
         move = SCANS[name](inst, tour, anchor)
         if not move.indices:
             assert move.indices == () and move.delta == 0
@@ -89,3 +112,5 @@ def test_scan_moves_keep_tour_invariants(seed, n, integral, mode, steps):
         apply_move(inst, tour, move)
         check_cost(inst, before + move.delta, tour_cost(inst, tour.seq))
         check_invariants(inst, tour)
+    check_or_opt(inst, tour, 0)
+    check_or_opt(inst, twin, 0)

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pdtsp_kit.neighborhoods import or_opt_scan, relocate_pair_best, two_opt_scan
 from pdtsp_kit.neighborhoods.relocate import best_insertion
@@ -12,8 +13,14 @@ from pdtsp_kit.neighborhoods.oracles import (
     relocate_pair_best_naive,
     two_opt_oracle,
 )
+from pdtsp_kit.instance import Instance, generate_pairs
 from pdtsp_kit.tour import Tour, apply_move, insert_pair, tour_cost
-from helpers import euclid_instance, float_instance, random_feasible_tour
+from helpers import (
+    euclid_instance,
+    float_instance,
+    or_opt_full_pricing,
+    random_feasible_tour,
+)
 
 
 def close(a, b, integral):
@@ -233,3 +240,128 @@ def test_or_opt_identity_excluded_but_reversal_in_place_allowed():
     # Whatever wins, re-inserting unreversed where it stood is not it.
     a, length, t, rev = mv.indices
     assert not (t == a - 1 and not rev)
+
+
+# ---------------------------------------------------------------------------
+# Or-opt's gain screen engages only on lengths with more than
+# SCREEN_WIDTH feasible slots. The widest length has 2n - 2 of them (a
+# lone pickup waits for its delivery, and a longer segment takes its
+# own length off the end), so these tours have 10 pairs or more.
+
+
+def random_matrix_instance(rng, n, mode, top):
+    # Symmetric, not metric, with zeros off the diagonal; a small top
+    # makes most costs tie.
+    nv = 2 * n + 1
+    cost = [[0] * nv for _ in range(nv)]
+    for i in range(nv):
+        for j in range(i + 1, nv):
+            cost[i][j] = cost[j][i] = rng.randint(0, top)
+    return Instance(n, cost, mode=mode, name=f"m{n}")
+
+
+def descend_comparing(inst, tour, anchors, k_or, reference):
+    """Follows or-opt moves from ``tour``, comparing the scan with
+    ``reference`` at each anchor before applying its move. Anchors are
+    positions, or callables of the tour giving one."""
+    steps = 0
+    for a in anchors:
+        if callable(a):
+            a = a(tour)
+        mv = or_opt_scan(inst, tour, a, k_or)
+        assert (mv.indices, mv.delta) == reference(inst, tour, a, k_or), (a, tour.seq)
+        if mv.indices:
+            apply_move(inst, tour, mv)
+            steps += 1
+    return steps
+
+
+def oracle_result(inst, tour, a, k_or):
+    ref = or_opt_oracle(inst, tour, a, k_or)
+    return ref.indices, ref.delta
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    n=st.integers(13, 16),
+    mode=st.sampled_from(["closed", "open"]),
+    top=st.sampled_from([1, 2, 5, 1000]),
+    k_or=st.sampled_from([3, 30]),
+)
+def test_screen_matches_oracle_on_non_metric_matrices(seed, n, mode, top, k_or):
+    # Each pair starts next to its partner, so a segment holding a whole
+    # pair may land anywhere; anchoring at pickups reaches the screen.
+    rng = random.Random(seed)
+    inst = random_matrix_instance(rng, n, mode, top)
+    pairs = rng.sample(range(1, n + 1), n)
+    tour = Tour(inst, [0] + [v for x in pairs for v in (x, x + n)] + [inst.end])
+    anchors = [lambda t, x=x: t.pos[x] for x in rng.sample(pairs, 4)]
+    descend_comparing(inst, tour, anchors, k_or, oracle_result)
+    assert inst._screen is not None
+
+
+@pytest.mark.parametrize("kind", ["integer", "float", "matrix"])
+def test_screen_matches_full_pricing_on_long_tours(kind):
+    # Random or-opt descents on tours of 30 to 100 pairs, which keep
+    # scanning past non-improving anchors: the scan must give the full
+    # loop's move and delta, float rounding included, while the per-tour
+    # index follows every applied move. Near a local optimum the few
+    # improving moves are the ones a screen could lose.
+    rng = random.Random(470)
+    scans = 0
+    while scans < 2500:
+        n = rng.randint(30, 100)
+        mode = rng.choice(["closed", "open"])
+        if kind == "matrix":
+            inst = random_matrix_instance(rng, n, mode, 20)
+        else:
+            build = euclid_instance if kind == "integer" else float_instance
+            inst = build(rng, n, mode=mode)
+        tour = random_feasible_tour(rng, inst)
+        stale = 0
+        while stale < 4 * n and scans < 2500:
+            a = rng.randint(1, 2 * n)
+            mv = or_opt_scan(inst, tour, a, 30)
+            assert (mv.indices, mv.delta) == or_opt_full_pricing(inst, tour, a, 30)
+            scans += 1
+            if mv.indices:
+                apply_move(inst, tour, mv)
+                stale = 0
+            else:
+                stale += 1
+
+
+@pytest.mark.parametrize("span", [1e7, 1e9])
+def test_screen_matches_full_pricing_at_large_spans(span):
+    # Visits share a few far-apart locations, so many moves tie and
+    # their computed deltas carry rounding error far above eps; the
+    # screen must still keep every move the full loop accepts.
+    rng = random.Random(460)
+    for mode in ("closed", "open"):
+        n = 20
+        spots = [(rng.uniform(0, span), rng.uniform(0, span)) for _ in range(6)]
+        pts = [rng.choice(spots) for _ in range(2 * n + 1)]
+        inst = generate_pairs(pts, "C", rng, mode=mode, rounding="none")
+        tour = random_feasible_tour(rng, inst)
+        anchors = [rng.randint(1, 2 * n) for _ in range(300)]
+        descend_comparing(inst, tour, anchors, 30, or_opt_full_pricing)
+        inst = float_instance(rng, 40, mode=mode, span=span)
+        tour = random_feasible_tour(rng, inst)
+        anchors = [rng.randint(1, 80) for _ in range(200)]
+        descend_comparing(inst, tour, anchors, 30, or_opt_full_pricing)
+
+
+costs = st.floats(0, 1e300, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=500, deadline=None)
+@given(a=costs, b=costs, c=costs, x=costs, y=costs, z=costs)
+def test_dropped_candidates_compute_no_improvement(a, b, c, x, y, z):
+    # The screen drops a candidate only when none of its three pair
+    # differences is negative; rounding must not then make the scan's
+    # sum, in its order of operations, come out negative.
+    a, b = max(a, b), min(a, b)
+    x, c = max(x, c), min(x, c)
+    y, z = max(y, z), min(y, z)
+    assert a - b - c + x + y - z >= 0

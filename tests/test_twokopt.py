@@ -7,7 +7,7 @@ import pytest
 from pdtsp_kit.neighborhoods import two_k_opt_best
 from pdtsp_kit.neighborhoods.oracles import two_k_opt_oracle
 from pdtsp_kit.tour import MoveDelta, apply_move, tour_cost
-from helpers import euclid_instance, float_instance, random_feasible_tour
+from helpers import euclid_instance, float_instance, line_tour, random_feasible_tour
 
 
 def test_matches_enumeration_small():
@@ -45,33 +45,54 @@ def test_matches_enumeration_open_and_float():
                     assert mv.delta == pytest.approx(ref.delta, rel=1e-9, abs=1e-7)
 
 
+def assert_empty_like_oracle(inst, tour, mv):
+    assert mv == MoveDelta("2k-opt", (), 0)
+    assert two_k_opt_oracle(inst, tour) == mv
+
+
 def test_root_never_positive_and_apply_consistent():
     rng = random.Random(51)
+    empties = 0
     for mode in ("closed", "open"):
         inst = euclid_instance(rng, 6, mode=mode)
-        for _ in range(10):
-            tour = random_feasible_tour(rng, inst)
+        cases = [(inst, random_feasible_tour(rng, inst)) for _ in range(10)]
+        line = line_tour(6, mode=mode)
+        cases.append((line.inst, line))
+        for inst, tour in cases:
             mv = two_k_opt_best(inst, tour)
-            assert mv.delta <= 0
+            if not mv.indices:
+                empties += 1
+                assert_empty_like_oracle(inst, tour, mv)
+                continue
+            assert mv.delta < 0
             trial = tour.copy()
             apply_move(inst, trial, mv)
             assert trial.is_feasible()
             assert trial.cost == tour_cost(inst, trial.seq)
             assert trial.cost == tour.cost + mv.delta
+    assert empties >= 2
 
 
 def test_float_costs():
     rng = random.Random(52)
     inst = float_instance(rng, 3)
-    for _ in range(8):
-        tour = random_feasible_tour(rng, inst)
+    cases = [(inst, random_feasible_tour(rng, inst)) for _ in range(8)]
+    line = line_tour(3, step=10.0)
+    cases.append((line.inst, line))
+    empties = 0
+    for inst, tour in cases:
         mv = two_k_opt_best(inst, tour)
+        if not mv.indices:
+            empties += 1
+            assert_empty_like_oracle(inst, tour, mv)
+            continue
         ref = two_k_opt_oracle(inst, tour)
         assert mv.delta == pytest.approx(ref.delta, rel=1e-9, abs=1e-7)
         assert mv.seq_after == ref.seq_after
         trial = tour.copy()
         apply_move(inst, trial, mv)
         assert trial.cost == pytest.approx(tour_cost(inst, trial.seq), rel=1e-9)
+    assert empties >= 1
 
 
 def test_identity_when_tour_already_good():
