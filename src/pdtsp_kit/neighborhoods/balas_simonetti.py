@@ -13,6 +13,11 @@ the graph is the cheapest reordering.
 
 Precedence pruning happens at construction: a delivery may only be
 placed once its pickup is, so forbidden states never enter a layer.
+
+A layer maps each state to an entry (cost, parent): the cheapest path
+cost to the state and the state it was reached from. The placed
+position is the state's first field, r, so walking the parents back
+from the cheapest last state reads off the reordering.
 """
 
 from __future__ import annotations
@@ -41,13 +46,13 @@ def bs_optimize(inst: Instance, seq, k: int):
     for t, v in enumerate(seq[:-1]):
         pos_of[v] = t
 
-    # State: (r, m, mask). parent map per layer for path recovery.
+    # State: (r, m, mask); one dict of entries per layer.
     start = (0, 1, 0)
-    layer = {start: (0 if inst.integral else 0.0, None, 0)}
+    layer = {start: (0 if inst.integral else 0.0, None)}
     layers = [layer]
     for t in range(1, last):
         nxt = {}
-        for state, (cost, _, _) in layer.items():
+        for state, (cost, _) in layer.items():
             r, m, mask = state
             wr = w[seq[r]]
             for off in range(k):
@@ -76,7 +81,7 @@ def bs_optimize(inst: Instance, seq, k: int):
                 ncost = cost + wr[u]
                 known = nxt.get(nstate)
                 if known is None or ncost < known[0]:
-                    nxt[nstate] = (ncost, state, q)
+                    nxt[nstate] = (ncost, state)
         layer = nxt
         layers.append(layer)
         if len(layer) > stats["max_nodes"]:
@@ -88,7 +93,7 @@ def bs_optimize(inst: Instance, seq, k: int):
     end_visit = seq[last]
     best_state = None
     best_cost = None
-    for state, (cost, _, _) in layer.items():
+    for state, (cost, _) in layer.items():
         total = cost + w[seq[state[0]]][end_visit]
         if best_cost is None or total < best_cost:
             best_cost = total
@@ -97,9 +102,8 @@ def bs_optimize(inst: Instance, seq, k: int):
     order = []
     state = best_state
     for t in range(last - 1, 0, -1):
-        cost, parent, q = layers[t][state]
-        order.append(q)
-        state = parent
+        order.append(state[0])
+        state = layers[t][state][1]
     order.reverse()
     best_seq = [seq[0]] + [seq[q] for q in order] + [seq[last]]
     return best_seq, best_cost, stats

@@ -16,13 +16,22 @@ keeps no quadratic cost table: it builds row i2 of the two delta tables
 as it goes, holds the minimum over i1 < i2 of each column in an O(n)
 row folded forward from row i2 - 1, and takes the minimum over j1 as a
 running value while j2 ascends. Only the cheapest partner is then
-tested for precedence feasibility, using two O(1) tables: Rev marks
-segments safe to reverse (no complete pair inside) and Last gives the
-latest outside pickup serving a delivery inside a segment. Deliveries
-moved ahead of blocks they depended on are rejected; a segment may only
-jump ahead of everything after i1 if all its deliveries' pickups sit in
-P1. At each (i2, j2) the types are tried in the order 1, 2a, 2b, and a
-candidate replaces the best move so far only if it is strictly cheaper.
+tested for precedence feasibility, in O(1). A segment may be reversed
+when it holds no complete pair; for a start i that holds for every end
+below cut[i], the first end at which it would hold one, so one position
+per start suffices. Last gives the latest outside pickup serving a
+delivery inside a segment; it is a range maximum that depends on the
+start, so it stays a table. Deliveries moved ahead of blocks they
+depended on are rejected; a segment may only jump ahead of everything
+after i1 if all its deliveries' pickups sit in P1. At each (i2, j2) the
+types are tried in the order 1, 2a, 2b, and a candidate replaces the
+best move so far only if it is strictly cheaper.
+
+That rule is stricter than precedence needs for type 2a: it rejects
+any pair picked up in P3 and delivered in P4, although r(P3) still
+precedes r(P4). The tour [0, 3, 2, 1, 6, 4, 5, 7, 8, 0] (four pairs,
+closed) at cuts (0, 1, 2, 4) is such a case. ``four_opt_oracle``
+applies the same rule, and relaxing it would change tours.
 
 The scan starts its best at ``-inst.eps``, so it returns the best
 improving move or the empty move. The mutation helper walks the same
@@ -85,27 +94,25 @@ def _partner_rows(w, seq, top):
 
 
 def _feasibility_tables(seq, pos, n, top):
-    # rev[i][j]: segment [i..j] holds no complete pair, so it may flip.
+    # cut[i]: first j >= i at which [i..j] holds a complete pair, or
+    # top; segment [i..j] may flip exactly when j < cut[i].
     # last[i][j]: latest position before i of a pickup whose delivery
     # lies in [i..j]; -1 when every such pickup is absent.
-    rev = [[True] * top for _ in range(top)]
+    cut = [top] * (top + 1)
     last = [[-1] * top for _ in range(top)]
-    for i in range(1, top):
-        rrow = rev[i]
+    for i in range(top - 1, 0, -1):
+        v = seq[i]
+        cut[i] = min(cut[i + 1], pos[v + n]) if v <= n else cut[i + 1]
         lrow = last[i]
-        ok = True
         acc = -1
         for j in range(i, top):
             v = seq[j]
             if v > n:
                 p = pos[v - n]
-                if p >= i:
-                    ok = False
-                elif p > acc:
+                if acc < p < i:
                     acc = p
-            rrow[j] = ok
             lrow[j] = acc
-    return rev, last
+    return cut, last
 
 
 def four_opt_best(inst: Instance, tour: Tour) -> MoveDelta:
@@ -119,13 +126,13 @@ def four_opt_best(inst: Instance, tour: Tour) -> MoveDelta:
         return empty
 
     w = inst.work_cost()
-    rev, last = _feasibility_tables(seq, pos, n, top)
+    cut, last = _feasibility_tables(seq, pos, n, top)
 
     best = empty
     best_delta = -inst.eps
     for i2, base_d, base_c, min_d, arg_d, min_c, arg_c in _partner_rows(w, seq, top):
         last3 = last[i2 + 1]  # P3 starts at i2 + 1
-        rev3 = rev[i2 + 1]
+        cut3 = cut[i2 + 1]
         # Running minima over j1 in (i2, j2) of the partner minima.
         phi_d = phi_c = math.inf
         i1_d = j1_d = i1_c = j1_c = 0
@@ -155,8 +162,8 @@ def four_opt_best(inst: Instance, tour: Tour) -> MoveDelta:
                 total < best_delta
                 and last3[j1_c] <= i1_c
                 and last[j1_c + 1][j2] <= i1_c
-                and rev3[j1_c]
-                and rev[j1_c + 1][j2]
+                and j1_c < cut3
+                and j2 < cut[j1_c + 1]
             ):
                 best_delta = total
                 best = MoveDelta(_KINDS[1], (i1_c, i2, j1_c, j2), total)
@@ -164,8 +171,8 @@ def four_opt_best(inst: Instance, tour: Tour) -> MoveDelta:
             if (
                 total < best_delta
                 and last[j1_d + 1][j2] <= i1_d
-                and rev[i1_d + 1][i2]
-                and rev3[j1_d]
+                and i2 < cut[i1_d + 1]
+                and j1_d < cut3
             ):
                 best_delta = total
                 best = MoveDelta(_KINDS[2], (i1_d, i2, j1_d, j2), total)

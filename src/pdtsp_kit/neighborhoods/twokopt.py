@@ -7,16 +7,19 @@ gets reversed by an enclosing 2-opt. Each either fixes an endpoint and
 recurses, or pays one 2-opt on (i, j) and flips the interior. R is
 infinite whenever the enclosing reversal would drag seq[i] past a
 delivery it serves or seq[j] past its pickup; nested flips cannot undo
-that. The root F over the full tour is never positive because shrinking
-to the empty interval gains zero; unless it is below ``-inst.eps`` the
-scan returns the empty move without decoding.
+that. Such a cell stores ``math.inf``, which never wins a strict
+comparison, so no read of R needs a guard. Each row looks up in ``pos``
+where seq[i]'s delivery sits, and every cell from there on is blocked;
+each cell checks whether seq[j]'s pickup sits at i or after. The root F
+over the full tour is never positive because shrinking to the empty
+interval gains zero; unless it is below ``-inst.eps`` the scan returns
+the empty move without decoding.
 
 The tables are filled row by row, i descending and j ascending. Cell
 (i, j) reads only row i + 1 and the cells of row i left of j, so two
 rows of F and R are live at a time, and the 2-opt gain on (i, j) comes
 from the two rows of the cost matrix at seq[i] and seq[i+1]. The case
-tables are kept whole for decoding, as is the table of blocked
-reversals.
+tables are kept whole for decoding.
 
 Every case moves inward from one end of [i, j] or from both, so the
 chosen cases form one path from the full tour down to an interval of
@@ -44,19 +47,6 @@ def two_k_opt_best(inst: Instance, tour: Tour) -> MoveDelta:
     size = top + 1
     FC = [[0] * size for _ in range(size)]
     RC = [[0] * size for _ in range(size)]
-    blocked = [[False] * size for _ in range(size)]
-
-    # R's guard depends only on the interval ends: seq[i] a pickup whose
-    # delivery lies at j or before, or seq[j] a delivery whose pickup
-    # lies at i or after.
-    for t in range(1, top):
-        v = seq[t]
-        if v <= n:
-            p = pos[v + n]
-            blocked[t][p:top] = [True] * (top - p)
-        else:
-            for i in range(1, pos[v - n] + 1):
-                blocked[i][t] = True
 
     # F_in and R_in hold row i + 1; intervals shorter than 2 gain 0.
     wrow = [w[v] for v in seq]
@@ -67,11 +57,14 @@ def two_k_opt_best(inst: Instance, tour: Tour) -> MoveDelta:
         R_i = [0] * size
         FC_i = FC[i]
         RC_i = RC[i]
-        B_i = blocked[i]
-        B_in = blocked[i + 1]
         w_i = wrow[i]
         w_in = wrow[i + 1]
         c_i = w_i[seq[i + 1]]
+        # R(i, j) is blocked from seq[i]'s delivery on, R(i, i + 1) too.
+        s_i = seq[i]
+        cut = pos[s_i + n] if 0 < s_i <= n else top
+        if cut == i + 1:
+            R_i[cut] = math.inf
         for j in range(i + 2, size):
             s_jm = seq[j - 1]
             s_j = seq[j]
@@ -81,17 +74,19 @@ def two_k_opt_best(inst: Instance, tour: Tour) -> MoveDelta:
             alt = F_i[j - 1]
             if alt < best:
                 best, case = alt, 2
-            if not B_in[j - 1]:
-                alt = d2 + R_in[j - 1]
-                if alt < best:
-                    best, case = alt, 3
+            alt = d2 + R_in[j - 1]
+            if alt < best:
+                best, case = alt, 3
             F_i[j] = best
             FC_i[j] = case
 
-            if i and j < top and not B_i[j]:
-                best = R_in[j] if not B_in[j] else math.inf
+            if i and j < top:
+                if j >= cut or s_j > n and pos[s_j - n] >= i:
+                    R_i[j] = math.inf
+                    continue
+                best = R_in[j]
                 case = 1
-                alt = R_i[j - 1] if not B_i[j - 1] else math.inf
+                alt = R_i[j - 1]
                 if alt < best:
                     best, case = alt, 2
                 alt = d2 + F_in[j - 1]

@@ -62,20 +62,21 @@ def phase_one_sweep(
     order,
     k_or: int,
     *,
-    stamps: list | None = None,
+    stamps: list,
     deadline: float | None = None,
 ) -> bool:
     """One pass over ``order`` that applies each pair's best improving move.
 
-    ``stamps``, used by ``local_search``, holds the count of applied
-    moves at index 0 and, at index x, the count at which pair x last
-    found no improving move. A pair whose stamp equals the count is
-    skipped, and each applied move advances the count. The pass stops
-    before any pair step that would start after ``deadline``.
+    ``stamps`` holds the count of applied moves at index 0 and, at index
+    x, the count at which pair x last found no improving move. A pair
+    whose stamp equals the count is skipped, and each applied move
+    advances the count, so fresh stamps ``[0] + [-1] * n`` scan every
+    pair. The pass stops before any pair step that would start after
+    ``deadline``.
     """
     improved = False
     for x in order:
-        if stamps is not None and stamps[x] == stamps[0]:
+        if stamps[x] == stamps[0]:
             continue
         if deadline is not None and time.perf_counter() >= deadline:
             break
@@ -83,9 +84,8 @@ def phase_one_sweep(
         if best.indices:
             improved = True
             apply_move(inst, tour, best)
-            if stamps is not None:
-                stamps[0] += 1
-        elif stamps is not None:
+            stamps[0] += 1
+        else:
             stamps[x] = stamps[0]
     return improved
 

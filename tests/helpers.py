@@ -38,6 +38,29 @@ def random_feasible_tour(rng, inst: Instance) -> Tour:
     return Tour(inst, random_feasible_seq(rng, inst))
 
 
+def adjacent_pairs_tour(rng, inst: Instance) -> Tour:
+    """A feasible tour where each pickup is followed by its own delivery
+    with probability 0.7; the other deliveries come later, in random
+    order."""
+    n = inst.n_pairs
+    todo = list(range(1, n + 1))
+    rng.shuffle(todo)
+    waiting = []
+    seq = [0]
+    while todo or waiting:
+        if todo and (not waiting or rng.random() < 0.6):
+            x = todo.pop()
+            seq.append(x)
+            if rng.random() < 0.7:
+                seq.append(x + n)
+            else:
+                waiting.append(x + n)
+        else:
+            seq.append(waiting.pop(rng.randrange(len(waiting))))
+    seq.append(inst.end)
+    return Tour(inst, seq)
+
+
 def line_tour(n, *, mode="closed", step=10) -> Tour:
     """A tour no move can improve: visits on a line at ``step`` apart,
     met in order of distance from the depot, pickups first. A float

@@ -14,6 +14,7 @@ from pdtsp_kit.instance import (
     parse_solution,
     render_instance,
 )
+from pdtsp_kit.metaheuristics import greedy_construct
 from pdtsp_kit.oracle import MAX_PAIRS, brute_force_optimal
 from pdtsp_kit.tour import Tour
 
@@ -305,6 +306,23 @@ def test_hgs_smoke_with_no_improve_budget(capsys, tmp_path):
     )
     assert len(out) == 3
     assert out[2].split(",")[1] == "hgs"
+
+
+def test_hgs_without_budget_gets_one_second_per_visit(capsys, tmp_path, monkeypatch):
+    paths = gen_instances(capsys, tmp_path, count=1, n=3)
+    budgets = []
+
+    def fake_hgs(inst, params, rng, stats):
+        budgets.append((params.tmax, params.max_no_improve))
+        stats["ttb"] = 0.0
+        return greedy_construct(inst, rng)
+
+    monkeypatch.setattr(cli, "hgs_run", fake_hgs)
+    code, out, _ = run_cli(
+        capsys, ["solve", str(paths[0]), "--method", "hgs", "--seeds", "1"]
+    )
+    assert code == 0
+    assert budgets == [(7.0, None)]  # 2 * 3 + 1 visits
 
 
 def test_bench_aggregates(capsys, tmp_path):

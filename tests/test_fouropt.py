@@ -6,7 +6,12 @@ import pytest
 
 from pdtsp_kit.instance import generate_pairs
 from pdtsp_kit.neighborhoods import four_opt_best, four_opt_type1_any
-from pdtsp_kit.neighborhoods.oracles import four_opt_oracle
+from pdtsp_kit.neighborhoods.fouropt import _feasibility_tables
+from pdtsp_kit.neighborhoods.oracles import (
+    _segment_last,
+    _segment_rev_ok,
+    four_opt_oracle,
+)
 from pdtsp_kit.tour import (
     MoveDelta,
     Tour,
@@ -15,7 +20,12 @@ from pdtsp_kit.tour import (
     four_opt_splice,
     tour_cost,
 )
-from helpers import euclid_instance, float_instance, random_feasible_tour
+from helpers import (
+    adjacent_pairs_tour,
+    euclid_instance,
+    float_instance,
+    random_feasible_tour,
+)
 
 
 def test_matches_oracle_and_applies_cleanly():
@@ -74,6 +84,100 @@ def test_matches_oracle_on_open_and_float_tours():
                         tour_cost(inst, trial.seq), rel=1e-9
                     )
     assert found > 20
+
+
+@pytest.mark.parametrize("mode", ["closed", "open"])
+def test_apply_consistent_on_large_tours_with_adjacent_pairs(mode):
+    # Pickups right before their deliveries make many segments
+    # unflippable; each move found along a short descent must realize a
+    # feasible tour at exactly cost + delta.
+    rng = random.Random(65)
+    kinds = set()
+    for n in (15, 30, 60):
+        inst = euclid_instance(rng, n, mode=mode, span=1000)
+        for tour in (adjacent_pairs_tour(rng, inst), random_feasible_tour(rng, inst)):
+            for _ in range(4):
+                mv = four_opt_best(inst, tour)
+                if not mv.indices:
+                    break
+                kinds.add(mv.kind)
+                assert mv.delta < 0
+                trial = tour.copy()
+                apply_move(inst, trial, mv)
+                assert trial.is_feasible()
+                assert trial.cost == tour_cost(inst, trial.seq) == tour.cost + mv.delta
+                tour = trial
+    assert len(kinds) >= 2
+
+
+def test_feasibility_tables_match_segment_checks():
+    rng = random.Random(66)
+    for n in (1, 2, 5, 9):
+        for mode in ("closed", "open"):
+            inst = euclid_instance(rng, n, mode=mode)
+            for tour in (adjacent_pairs_tour(rng, inst), random_feasible_tour(rng, inst)):
+                seq, pos, top = tour.seq, tour.pos, len(tour.seq) - 1
+                cut, last = _feasibility_tables(seq, pos, n, top)
+                for i in range(1, top):
+                    for j in range(i, top):
+                        assert (j < cut[i]) == _segment_rev_ok(seq, pos, n, i, j)
+                        assert last[i][j] == _segment_last(seq, pos, n, i, j)
+
+
+def _oracle_accepts(seq, pos, n, kind, cuts):
+    # The precedence rule of four_opt_oracle (and of the scan).
+    i1, i2, j1, j2 = cuts
+    p3_ok = _segment_last(seq, pos, n, i2 + 1, j1) <= i1
+    p4_ok = _segment_last(seq, pos, n, j1 + 1, j2) <= i1
+    if kind == "4opt-type1":
+        return p3_ok and p4_ok
+    if kind == "4opt-type2a":
+        return (
+            p3_ok
+            and p4_ok
+            and _segment_rev_ok(seq, pos, n, i2 + 1, j1)
+            and _segment_rev_ok(seq, pos, n, j1 + 1, j2)
+        )
+    return (
+        p4_ok
+        and _segment_rev_ok(seq, pos, n, i1 + 1, i2)
+        and _segment_rev_ok(seq, pos, n, i2 + 1, j1)
+    )
+
+
+def test_accepted_cut_sets_realize_feasible_tours():
+    # Every cut set the rule accepts splices into a feasible tour. The
+    # rule is stricter than needed for type 2a only: it rejects a pair
+    # picked up in P3 and delivered in P4, which r(P3) r(P4) keeps in
+    # order, as in the pinned tour below.
+    kinds = ("4opt-type1", "4opt-type2a", "4opt-type2b")
+    rng = random.Random(67)
+    pinned = Tour(euclid_instance(rng, 4), [0, 3, 2, 1, 6, 4, 5, 7, 8, 0])
+    cases = [pinned]
+    for n in (3, 4, 5, 6):
+        for mode in ("closed", "open"):
+            inst = euclid_instance(rng, n, mode=mode)
+            cases += [random_feasible_tour(rng, inst), adjacent_pairs_tour(rng, inst)]
+    accepted = {kind: 0 for kind in kinds}
+    for tour in cases:
+        inst, seq, pos = tour.inst, tour.seq, tour.pos
+        n, top = inst.n_pairs, len(seq) - 1
+        for i1 in range(top - 3):
+            for i2 in range(i1 + 1, top - 2):
+                for j1 in range(i2 + 1, top - 1):
+                    for j2 in range(j1 + 1, top):
+                        cuts = (i1, i2, j1, j2)
+                        for kind in kinds:
+                            if _oracle_accepts(seq, pos, n, kind, cuts):
+                                accepted[kind] += 1
+                                new = four_opt_splice(seq, kind, cuts)
+                                assert not check_precedence(inst, new)
+    assert min(accepted.values()) > 100
+    cuts = (0, 1, 2, 4)
+    assert not _oracle_accepts(pinned.seq, pinned.pos, 4, "4opt-type2a", cuts)
+    assert not check_precedence(
+        pinned.inst, four_opt_splice(pinned.seq, "4opt-type2a", cuts)
+    )
 
 
 def test_type_ties_resolve_like_the_oracle():

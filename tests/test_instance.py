@@ -174,6 +174,12 @@ def test_parse_error_line_numbers():
     assert err.value.line_no == 2
 
     bad = lines[:]
+    bad[1] = "PAIRS 0"
+    with pytest.raises(FormatError, match="at least 1") as err:
+        parse_instance("\n".join(bad))
+    assert err.value.line_no == 2
+
+    bad = lines[:]
     bad[2] = "MODE circular"
     with pytest.raises(FormatError) as err:
         parse_instance("\n".join(bad))
@@ -269,6 +275,7 @@ def test_parse_rejects_nonfinite_coordinate_with_line(bad):
         (["0 1 2", "1 0 inf", "2 inf 0"], 8, "finite"),
         (["0 1 2", "1 0 -1", "2 -1 0"], 8, "nonnegative"),
         (["0 1 2", "1 5 1", "2 1 0"], 8, "diagonal"),
+        (["0 1 2", "1 0 1", "2 1 0 7"], 9, "exactly 9 entries"),
         pytest.param(
             ["0 1.5 " + "9" * 400, "1.5 0 1", "9" * 400 + " 1 0"], 7, "finite",
             id="int-beyond-float",
@@ -345,3 +352,19 @@ def test_solution_roundtrip():
         parse_solution("COST x\nTOUR 0\n")
     with pytest.raises(FormatError):
         parse_solution("TOUR 0 1\n")
+
+
+@pytest.mark.parametrize(
+    "text, line_no, words",
+    [
+        ("TOUR 0 1\nCOST 3\n", 1, "COST <value>"),
+        ("COST 3 4\nTOUR 0 1\n", 1, "COST <value>"),
+        ("COST 3\nPATH 0 1\n", 2, "TOUR <visit ids>"),
+        ("COST 3\nTOUR\n", 2, "TOUR <visit ids>"),
+        ("COST 3\n\nTOUR 0 1.5 0\n", 3, "integers"),
+    ],
+)
+def test_parse_solution_errors_name_the_line(text, line_no, words):
+    with pytest.raises(FormatError, match=words) as err:
+        parse_solution(text)
+    assert err.value.line_no == line_no

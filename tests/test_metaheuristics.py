@@ -136,6 +136,22 @@ def test_rr_zero_iters_returns_construction():
     assert stats["iters"] == 0
 
 
+def test_rr_one_iteration_without_time_budget():
+    # One iteration has no schedule to decay along, so it runs at the
+    # starting temperature and keeps the better of start and candidate.
+    inst = euclid_instance(random.Random(98), 6)
+    start = greedy_construct(inst, random.Random(4))
+    stats = {}
+    trace = []
+    best = rr_run(inst, RrParams(iters=1), random.Random(4), stats, trace)
+    assert stats["iters"] == 1
+    assert len(trace) == 1
+    cand = Tour(inst, list(trace[0][0]))
+    assert best.cost == min(start.cost, cand.cost)
+    assert best.is_feasible()
+    assert best.cost == tour_cost(inst, best.seq)
+
+
 def test_rr_evaluators_walk_identically(monkeypatch):
     inst = euclid_instance(random.Random(96), 6)
     traces = []

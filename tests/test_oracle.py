@@ -130,6 +130,17 @@ def test_seed_incumbent_is_safe():
     assert warmed.seq == plain.seq
 
 
+def test_seed_cheaper_than_the_optimum_is_refused():
+    # A cap below every first edge prunes every partial tour. (A cap
+    # just below the optimum need not: the final edge to the terminal
+    # is added only after the last layer.)
+    inst = euclid_instance(random.Random(118), 4)
+    fake = brute_force_optimal(inst).copy()
+    fake.cost = -1
+    with pytest.raises(ValueError, match="seed"):
+        brute_force_optimal(inst, seed=fake)
+
+
 def test_oracle_never_beaten_by_heuristic_tours():
     rng = random.Random(115)
     inst = euclid_instance(rng, 4)

@@ -2,6 +2,7 @@
 
 import random
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -86,12 +87,15 @@ def test_float_costs_descend():
 
 
 def _rescan_descent(inst, tour, params, rng, use_large):
-    # The descent without stamps: every round scans every pair.
-    pairs = list(range(1, inst.n_pairs + 1))
+    # The descent with fresh stamps each round: every round scans every pair.
+    n = inst.n_pairs
+    pairs = list(range(1, n + 1))
     improved = True
     while improved:
         rng.shuffle(pairs)
-        improved = phase_one_sweep(inst, tour, pairs, params.k_or)
+        improved = phase_one_sweep(
+            inst, tour, pairs, params.k_or, stamps=[0] + [-1] * n
+        )
         if use_large and search.large_step(inst, tour, params.k_bs):
             improved = True
 
@@ -173,6 +177,53 @@ def test_descent_stops_at_deadline():
     assert tour.seq != before
     assert tour.is_feasible()
     assert tour.cost == tour_cost(inst, tour.seq)
+
+
+def test_descent_stops_at_deadline_before_large_step(monkeypatch):
+    # A fake clock passes the deadline the moment the first sweep ends,
+    # so only the check before the large step can stop the descent.
+    now = [0.0]
+    monkeypatch.setattr(search, "time", SimpleNamespace(perf_counter=lambda: now[0]))
+
+    def sweep_then_late(*args, **kwargs):
+        improved = phase_one_sweep(*args, **kwargs)
+        now[0] = 1.0
+        return improved
+
+    def no_large_step(*args):
+        raise AssertionError("large step started after the deadline")
+
+    monkeypatch.setattr(search, "phase_one_sweep", sweep_then_late)
+    monkeypatch.setattr(search, "large_step", no_large_step)
+    rng = random.Random(88)
+    inst = euclid_instance(rng, 8)
+    tour = random_feasible_tour(rng, inst)
+    ref = tour.copy()
+    state = rng.getstate()
+    local_search(inst, tour, SearchParams(), rng, use_large=True, deadline=1.0)
+
+    rng.setstate(state)
+    pairs = list(range(1, inst.n_pairs + 1))
+    rng.shuffle(pairs)
+    stamps = [0] + [-1] * inst.n_pairs
+    assert phase_one_sweep(inst, ref, pairs, 30, stamps=stamps)
+    assert tour.seq == ref.seq
+    assert tour.cost == ref.cost
+
+
+@pytest.mark.parametrize(
+    "knobs, words",
+    [
+        ({"k_or": 0}, "k_or"),
+        ({"k_bs": 0}, "k_bs"),
+        ({"k_bs": 13}, "k_bs"),
+        ({"p_large": -0.1}, "p_large"),
+        ({"p_large": 1.5}, "p_large"),
+    ],
+)
+def test_search_params_reject_out_of_range_knobs(knobs, words):
+    with pytest.raises(ValueError, match=words):
+        SearchParams(**knobs)
 
 
 # Descents from a greedy tour with the large step on every round,

@@ -7,7 +7,13 @@ import pytest
 from pdtsp_kit.neighborhoods import two_k_opt_best
 from pdtsp_kit.neighborhoods.oracles import two_k_opt_oracle
 from pdtsp_kit.tour import MoveDelta, apply_move, tour_cost
-from helpers import euclid_instance, float_instance, line_tour, random_feasible_tour
+from helpers import (
+    adjacent_pairs_tour,
+    euclid_instance,
+    float_instance,
+    line_tour,
+    random_feasible_tour,
+)
 
 
 def test_matches_enumeration_small():
@@ -71,6 +77,31 @@ def test_root_never_positive_and_apply_consistent():
             assert trial.cost == tour_cost(inst, trial.seq)
             assert trial.cost == tour.cost + mv.delta
     assert empties >= 2
+
+
+@pytest.mark.parametrize("mode", ["closed", "open"])
+def test_apply_consistent_on_large_tours_with_adjacent_pairs(mode):
+    # Pickups right before their deliveries make the two-visit cells and
+    # the row cut-offs of the blocked reversals matter; each move found
+    # along a short descent must realize a feasible tour at exactly
+    # cost + delta.
+    rng = random.Random(54)
+    moves = 0
+    for n in (15, 30, 60):
+        inst = euclid_instance(rng, n, mode=mode, span=1000)
+        for tour in (adjacent_pairs_tour(rng, inst), random_feasible_tour(rng, inst)):
+            for _ in range(4):
+                mv = two_k_opt_best(inst, tour)
+                if not mv.indices:
+                    break
+                moves += 1
+                assert mv.delta < 0
+                trial = tour.copy()
+                apply_move(inst, trial, mv)
+                assert trial.is_feasible()
+                assert trial.cost == tour_cost(inst, trial.seq) == tour.cost + mv.delta
+                tour = trial
+    assert moves >= 20
 
 
 def test_float_costs():
