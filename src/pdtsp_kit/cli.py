@@ -199,10 +199,11 @@ def cmd_solve(args, out=None) -> int:
 
 
 def _instance_group(name: str) -> str:
+    """The group of a name ending as ``gen`` writes it, ``-<group><index>``,
+    or "?"."""
     tail = name.rsplit("-", 1)[-1]
-    for letter in sorted(GROUP_POOL):
-        if tail.startswith(letter):
-            return letter
+    if tail[:1] in GROUP_POOL and tail[1:].isdigit() and tail.isascii():
+        return tail[0]
     return "?"
 
 

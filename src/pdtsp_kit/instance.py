@@ -116,8 +116,8 @@ class Instance:
     coords: list | None = None
     rounding: str = ROUND_NONE
     _work: list | None = field(default=None, init=False, repr=False, compare=False)
-    # Or-opt's screen state, built on its first wide scan; see neighborhoods/oropt.py.
-    _screen: object = field(default=None, init=False, repr=False, compare=False)
+    # Or-opt's neighbor lists, built on its first wide scan; see neighborhoods/oropt.py.
+    _screen: list | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.validate()
@@ -175,11 +175,6 @@ class Instance:
         """Improvement threshold: the int 0 for integer costs, an absolute
         1e-9 otherwise. An int keeps every scan's comparisons int-only."""
         return 0 if self.integral else 1e-9
-
-    def partner(self, v: int) -> int:
-        if not 1 <= v <= 2 * self.n_pairs:
-            raise ValueError(f"visit {v} has no partner")
-        return v + self.n_pairs if v <= self.n_pairs else v - self.n_pairs
 
     def work_cost(self) -> list:
         """Cost matrix used by every tour formula.

@@ -76,12 +76,12 @@ reversed sum has the same shape. So a candidate the screen drops has
 a computed delta of at least 0, which the full loop rejects too.
 
 Each visit's neighbor list holds the other visit ids in order of cost,
-as one compact ``array`` row, and the lists are built on the
-instance's first wide scan. The index is rebuilt when
-``tour.edge`` is no longer the list it was built from: ``apply_move``
-and ``recost`` always assign a new list, and ``Tour.copy`` shares it
-along with an equal sequence. The instance holds one index, for the
-tour it last screened.
+as one compact ``array`` row. The lists depend only on the costs: they
+are built on the instance's first wide scan and kept in
+``inst._screen``. The edge index depends on the tour: it is built on
+the tour's first wide scan since its last change and kept in
+``tour.screen``, which ``apply_move`` and ``recost`` clear and
+``Tour.copy`` shares.
 """
 
 from __future__ import annotations
@@ -96,37 +96,29 @@ from ..tour import MoveDelta, Tour
 SCREEN_WIDTH = 16
 
 
-class _Screen:
-    """Per-instance neighbor lists, and the index of the tour last
-    screened."""
+def neighbor_lists(w: list) -> list:
+    """near[x]: the visit ids other than x in order of w[x], one compact
+    ``array`` row each."""
+    nv = len(w)
+    code = "H" if nv <= 1 << 16 else "I"
+    return [
+        array(code, sorted(chain(range(x), range(x + 1, nv)), key=row.__getitem__))
+        for x, row in enumerate(w)
+    ]
 
-    __slots__ = ("near", "key", "idx")
 
-    def __init__(self, w: list):
-        nv = len(w)
-        code = "H" if nv <= 1 << 16 else "I"
-        self.near = [
-            array(code, sorted(chain(range(x), range(x + 1, nv)), key=row.__getitem__))
-            for x, row in enumerate(w)
-        ]
-        self.key = self.idx = None
-
-    def index(self, w: list, tour: Tour) -> list:
-        """idx[x]: the positions e of the tour edges (u, v) = (seq[e],
-        seq[e+1]) with w(x,v) < w(u,v), ascending."""
-        edge = tour.edge
-        if self.key is not edge:
-            near, seq = self.near, tour.seq
-            idx = [[] for _ in near]
-            for e, base in enumerate(edge):
-                v = seq[e + 1]
-                wv = w[v]
-                for x in near[v]:
-                    if wv[x] >= base:
-                        break
-                    idx[x].append(e)
-            self.key, self.idx = edge, idx
-        return self.idx
+def edge_index(near: list, w: list, seq: list, edge: list) -> list:
+    """idx[x]: the positions e of the tour edges (u, v) = (seq[e],
+    seq[e+1]) with w(x,v) < w(u,v), ascending."""
+    idx = [[] for _ in near]
+    for e, base in enumerate(edge):
+        v = seq[e + 1]
+        wv = w[v]
+        for x in near[v]:
+            if wv[x] >= base:
+                break
+            idx[x].append(e)
+    return idx
 
 
 def or_opt_scan(inst: Instance, tour: Tour, a: int, k_or: int) -> MoveDelta:
@@ -179,11 +171,12 @@ def or_opt_scan(inst: Instance, tour: Tour, a: int, k_or: int) -> MoveDelta:
 
         if hi - lo > SCREEN_WIDTH:
             if idx is None:
-                screen = inst._screen
-                if screen is None:
-                    screen = inst._screen = _Screen(w)
-                near = screen.near
-                idx = screen.index(w, tour)
+                near = inst._screen
+                if near is None:
+                    near = inst._screen = neighbor_lists(w)
+                idx = tour.screen
+                if idx is None:
+                    idx = tour.screen = edge_index(near, w, seq, edge)
             if gain >= 0:
                 r = wt[nxt]
                 cand = idx[tail][:]

@@ -28,9 +28,10 @@ def brute_force_optimal(inst: Instance, *, seed: Tour | None = None) -> Tour:
     returned is therefore the optimal one whose customer order, read
     backward from the last customer, is lexicographically smallest.
 
-    ``seed`` caps the search at a known tour's cost: a partial tour
-    costing more is dropped. Every prefix of an optimal tour costs no
-    more than the seed, so the tour returned is the same without it.
+    ``seed`` caps the search at a known tour's cost: a partial or
+    complete tour costing more is dropped, and ValueError is raised when
+    no tour is left. Every prefix of an optimal tour costs no more than
+    the seed, so the tour returned is the same without it.
     """
     n = inst.n_pairs
     if n > MAX_PAIRS:
@@ -73,10 +74,10 @@ def brute_force_optimal(inst: Instance, *, seed: Tour | None = None) -> Tour:
         layer = nxt
 
     placed = (1 << nv) - 1
-    if placed not in layer:
-        raise ValueError("no tour within the seed's cost; seed is not a tour of inst")
-    lasts, costs, _ = layer[placed]
+    lasts, costs, _ = layer.get(placed, ((), (), ()))
     totals = [c + w[v][inst.end] for v, c in zip(lasts, costs)]
+    if not totals or min(totals) > cap:
+        raise ValueError("no tour within the seed's cost; seed is not a tour of inst")
     v = lasts[totals.index(min(totals))]
     seq = [inst.end]
     for layer in reversed(layers):

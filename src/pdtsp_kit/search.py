@@ -90,19 +90,25 @@ def phase_one_sweep(
     return improved
 
 
-def large_step(inst: Instance, tour: Tour, k_bs: int) -> bool:
-    """Applies the best improving large-neighborhood move, if any."""
-    best = two_k_opt_best(inst, tour)
-    m = four_opt_best(inst, tour)
-    if m.delta < best.delta:
-        best = m
-    m = bs_best(inst, tour, k_bs)
-    if m.delta < best.delta:
-        best = m
-    if best.indices:
-        apply_move(inst, tour, best)
-        return True
-    return False
+def large_step(
+    inst: Instance, tour: Tour, k_bs: int, *, deadline: float | None = None
+) -> bool:
+    """Applies the best improving large-neighborhood move, if any.
+
+    A kernel that would start after ``deadline`` is skipped, and the
+    best move of the kernels that ran is applied.
+    """
+    best = None
+    for scan, args in ((two_k_opt_best, ()), (four_opt_best, ()), (bs_best, (k_bs,))):
+        if deadline is not None and time.perf_counter() >= deadline:
+            break
+        m = scan(inst, tour, *args)
+        if best is None or m.delta < best.delta:
+            best = m
+    if best is None or not best.indices:
+        return False
+    apply_move(inst, tour, best)
+    return True
 
 
 def local_search(
@@ -138,7 +144,7 @@ def local_search(
         if use_large and large_stamp != stamps[0]:
             if deadline is not None and time.perf_counter() >= deadline:
                 break
-            if large_step(inst, tour, params.k_bs):
+            if large_step(inst, tour, params.k_bs, deadline=deadline):
                 stamps[0] += 1
                 improved = True
             else:

@@ -72,12 +72,14 @@ class Tour:
 
     ``edge`` is derived state: ``edge[t]`` is the cost of the tour edge
     (seq[t], seq[t+1]). ``recost`` builds it and only ``apply_move``
-    advances it. Both assign a new list, so copies share it safely, and
-    or-opt's screen can tell by the list's identity whether the tour it
-    indexed has changed.
+    advances it. Both assign a new list, so copies share it safely.
+    ``screen`` is or-opt's edge index for the current sequence, or None:
+    ``or_opt_scan`` builds it on its first wide scan, and ``recost`` and
+    ``apply_move`` clear it where they assign ``edge``. Copies share it
+    too, as the index is never modified in place.
     """
 
-    __slots__ = ("inst", "seq", "pos", "cost", "edge")
+    __slots__ = ("inst", "seq", "pos", "cost", "edge", "screen")
 
     def __init__(self, inst: Instance, seq):
         self.inst = inst
@@ -127,6 +129,7 @@ class Tour:
         dup.pos = list(self.pos)
         dup.cost = self.cost
         dup.edge = self.edge
+        dup.screen = self.screen
         return dup
 
     def violations(self) -> list:
@@ -137,6 +140,7 @@ class Tour:
 
     def recost(self) -> float:
         self.edge = _edge_costs(self.inst, self.seq)
+        self.screen = None
         self.cost = sum(self.edge)
         return self.cost
 
@@ -176,7 +180,7 @@ def four_opt_splice(seq, kind: str, cuts) -> list:
 
 def apply_move(inst: Instance, tour: Tour, move: MoveDelta) -> None:
     """Applies a MoveDelta in place, updating sequence, positions, edge
-    costs and cost.
+    costs and cost, and clearing or-opt's edge index.
 
     Moves are trusted as the scans build them: a relocation names its
     pair's pickup in a precedence-feasible tour, and the cached cost is
@@ -214,4 +218,5 @@ def apply_move(inst: Instance, tour: Tour, move: MoveDelta) -> None:
 
     tour._reindex()
     tour.edge = _edge_costs(inst, seq)
+    tour.screen = None
     tour.cost += move.delta

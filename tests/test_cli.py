@@ -329,6 +329,11 @@ def test_bench_aggregates(capsys, tmp_path):
     gen_instances(capsys, tmp_path, count=2, n=4)
     gen_instances(capsys, tmp_path, count=1, n=4, group="A", seed=8)
     inst_dir = tmp_path / "inst"
+    # Only a tail of a group letter and digits, as gen writes it, names
+    # a group; these two are "?".
+    text = (inst_dir / "t-C0.pdtsp").read_text()
+    for name in ("berlin-Center", "my-Bakery"):
+        (inst_dir / f"{name}.pdtsp").write_text(text.replace("NAME t-C0", f"NAME {name}"))
     refs = tmp_path / "refs.csv"
     lines = []
     for p in sorted(inst_dir.glob("*.pdtsp")):
@@ -343,12 +348,14 @@ def test_bench_aggregates(capsys, tmp_path):
     assert code == 0
     assert out[0] == CSV_TAG
     data = [l for l in out[2:] if not l.startswith("#")]
-    assert len(data) == 6  # 3 instances x 2 seeds
+    assert len(data) == 10  # 5 instances x 2 seeds
     inst_aggs = [l for l in out if l.startswith("# agg instance=")]
-    assert len(inst_aggs) == 3
+    assert len(inst_aggs) == 5
     assert all("runs=2" in l and "mean_gap=" in l for l in inst_aggs)
     group_aggs = [l for l in out if l.startswith("# agg group=")]
-    assert sorted(l.split()[2] for l in group_aggs) == ["group=A", "group=C"]
+    assert [l.split()[2:4] for l in group_aggs] == [
+        ["group=?", "runs=4"], ["group=A", "runs=2"], ["group=C", "runs=4"]
+    ]
     # Group filter narrows the run to matching instances only.
     code, out, _ = run_cli(
         capsys,
@@ -358,6 +365,14 @@ def test_bench_aggregates(capsys, tmp_path):
     data = [l for l in out[2:] if not l.startswith("#")]
     assert len(data) == 1
     assert data[0].startswith("t-A0,")
+    for group in ("B", "C"):
+        code, out, _ = run_cli(
+            capsys,
+            ["bench", "--dir", str(inst_dir), "--method", "ls-only",
+             "--seeds", "1", "--group", group],
+        )
+        names = [l.split(",")[0] for l in out[2:] if not l.startswith("#")]
+        assert (code, names) == ((0, ["t-C0", "t-C1"]) if group == "C" else (1, []))
 
 
 def test_bench_empty_dir_fails(capsys, tmp_path):

@@ -97,12 +97,8 @@ def test_numpy_integer_costs_are_integral():
     assert "MATRIX\n0 1 2\n" in render_instance(inst)
 
 
-def test_partner_and_end():
+def test_end_per_mode():
     inst = Instance(2, build_cost_matrix([(0, 0), (1, 0), (2, 0), (3, 0), (4, 0)]))
-    assert inst.partner(1) == 3 and inst.partner(3) == 1
-    assert inst.partner(2) == 4 and inst.partner(4) == 2
-    with pytest.raises(ValueError):
-        inst.partner(0)
     assert inst.end == 0
     opened = Instance(
         2, build_cost_matrix([(0, 0), (1, 0), (2, 0), (3, 0), (4, 0)]), mode="open"

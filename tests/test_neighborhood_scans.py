@@ -1,11 +1,13 @@
 """Relocate, 2-opt and or-opt scans against realization references."""
 
+import dataclasses
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pdtsp_kit.neighborhoods import or_opt_scan, relocate_pair_best, two_opt_scan
+from pdtsp_kit.neighborhoods import oropt, or_opt_scan, relocate_pair_best, two_opt_scan
+from pdtsp_kit.neighborhoods.oropt import edge_index
 from pdtsp_kit.neighborhoods.relocate import best_insertion
 from pdtsp_kit.neighborhoods.oracles import (
     best_insertion_naive,
@@ -350,6 +352,33 @@ def test_screen_matches_full_pricing_at_large_spans(span):
         tour = random_feasible_tour(rng, inst)
         anchors = [rng.randint(1, 80) for _ in range(200)]
         descend_comparing(inst, tour, anchors, 30, or_opt_full_pricing)
+
+
+@pytest.mark.parametrize("mode", ["closed", "open"])
+def test_screen_index_belongs_to_the_tour(monkeypatch, mode):
+    # Two tours of one instance scanned in turn, at every anchor, twice:
+    # each must give what it gives on an instance of its own, and build
+    # its edge index once, since neither tour changes.
+    rng = random.Random(480)
+    inst = float_instance(rng, 30, mode=mode)
+    tours = [random_feasible_tour(rng, inst) for _ in range(2)]
+    anchors = range(1, 2 * inst.n_pairs + 1)
+    alone = []
+    for tour in tours:
+        own = dataclasses.replace(inst)
+        alone.append([or_opt_scan(own, tour.copy(), a, 30) for a in anchors])
+    builds = []
+
+    def counted(*args):
+        builds.append(args)
+        return edge_index(*args)
+
+    monkeypatch.setattr(oropt, "edge_index", counted)
+    for _ in range(2):
+        for a in anchors:
+            for tour, ref in zip(tours, alone):
+                assert or_opt_scan(inst, tour, a, 30) == ref[a - 1]
+    assert len(builds) == 2
 
 
 costs = st.floats(0, 1e300, allow_nan=False, allow_infinity=False)

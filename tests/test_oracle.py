@@ -131,14 +131,16 @@ def test_seed_incumbent_is_safe():
 
 
 def test_seed_cheaper_than_the_optimum_is_refused():
-    # A cap below every first edge prunes every partial tour. (A cap
-    # just below the optimum need not: the final edge to the terminal
-    # is added only after the last layer.)
+    # A cap of -1 prunes every partial tour. A cap just below the
+    # optimum keeps partial tours and must refuse the complete ones,
+    # whose final edge to the terminal is added after the last layer.
     inst = euclid_instance(random.Random(118), 4)
-    fake = brute_force_optimal(inst).copy()
-    fake.cost = -1
-    with pytest.raises(ValueError, match="seed"):
-        brute_force_optimal(inst, seed=fake)
+    opt = brute_force_optimal(inst)
+    for cap in (-1, opt.cost - 1):
+        fake = opt.copy()
+        fake.cost = cap
+        with pytest.raises(ValueError, match="seed"):
+            brute_force_optimal(inst, seed=fake)
 
 
 def test_oracle_never_beaten_by_heuristic_tours():

@@ -9,7 +9,7 @@ import pytest
 import pdtsp_kit.search as search
 from pdtsp_kit.instance import Instance
 from pdtsp_kit.metaheuristics import greedy_construct
-from pdtsp_kit.neighborhoods import SearchParams
+from pdtsp_kit.neighborhoods import SearchParams, two_k_opt_best
 from pdtsp_kit.oracle import brute_force_optimal
 from pdtsp_kit.search import large_step, local_search, pair_step, phase_one_sweep
 from pdtsp_kit.tour import apply_move, tour_cost
@@ -109,9 +109,9 @@ def _spy_steps(monkeypatch):
         log.append((x, tuple(tour.seq), m.improves(inst.eps)))
         return m
 
-    def spy_large(inst, tour, k_bs):
+    def spy_large(inst, tour, k_bs, *, deadline=None):
         seen = tuple(tour.seq)
-        applied = large_step(inst, tour, k_bs)
+        applied = large_step(inst, tour, k_bs, deadline=deadline)
         log.append((0, seen, applied))
         return applied
 
@@ -209,6 +209,44 @@ def test_descent_stops_at_deadline_before_large_step(monkeypatch):
     assert phase_one_sweep(inst, ref, pairs, 30, stamps=stamps)
     assert tour.seq == ref.seq
     assert tour.cost == ref.cost
+
+
+def test_large_step_skips_kernels_after_deadline(monkeypatch):
+    # A fake clock passes the deadline as soon as nested 2-opt returns:
+    # 4-opt and BS must not start, and nested 2-opt's move is applied.
+    now = [0.0]
+    monkeypatch.setattr(search, "time", SimpleNamespace(perf_counter=lambda: now[0]))
+
+    def two_k_then_late(*args):
+        move = two_k_opt_best(*args)
+        now[0] = 1.0
+        return move
+
+    def not_started(*args):
+        raise AssertionError("kernel started after the deadline")
+
+    monkeypatch.setattr(search, "two_k_opt_best", two_k_then_late)
+    monkeypatch.setattr(search, "four_opt_best", not_started)
+    monkeypatch.setattr(search, "bs_best", not_started)
+    rng = random.Random(89)
+    inst = euclid_instance(rng, 8)
+    tour = random_feasible_tour(rng, inst)
+    ref = tour.copy()
+    move = two_k_opt_best(inst, ref)
+    assert move.indices
+    assert large_step(inst, tour, 3, deadline=1.0)
+    apply_move(inst, ref, move)
+    assert tour.seq == ref.seq
+    assert tour.cost == ref.cost
+
+    # Without a deadline no clock is read.
+    monkeypatch.undo()
+
+    def no_clock():
+        raise AssertionError("clock read without a deadline")
+
+    monkeypatch.setattr(search, "time", SimpleNamespace(perf_counter=no_clock))
+    large_step(inst, tour, 3)
 
 
 @pytest.mark.parametrize(
