@@ -1,4 +1,4 @@
-"""Command line front end: solve instances, benchmark, generate.
+"""Command line front end: solve instances, benchmark, generate, check.
 
 Output is CSV on stdout with a fixed version comment first, one row per
 (instance, method, seed) run. Costs and gaps are deterministic for a
@@ -27,6 +27,7 @@ from .instance import (
     generate_pairs,
     parse_instance,
     parse_points,
+    parse_solution,
     render_instance,
     render_solution,
 )
@@ -111,17 +112,19 @@ def _make_dir(path) -> pathlib.Path:
 
 
 def _parse_refs(text: str) -> dict:
-    """Reference costs, one 'name,cost' line each."""
+    """Reference costs, one 'name,cost' line each, each name once."""
     refs = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        fields = line.split(",")
-        cost = fields[1].strip() if len(fields) > 1 else ""
-        if not cost:
+        fields = [field.strip() for field in line.split(",")]
+        if len(fields) != 2 or not all(fields):
             raise FormatError(line_no, f"expected 'name,cost', got {line!r}")
-        refs[fields[0].strip()] = _parse_number(cost, line_no)
+        name, cost = fields
+        if name in refs:
+            raise FormatError(line_no, f"reference {name!r} repeated")
+        refs[name] = _parse_number(cost, line_no)
     return refs
 
 
@@ -196,6 +199,43 @@ def cmd_solve(args, out=None) -> int:
     instances = [_read_input(p, parse_instance) for p in args.paths]
     _emit_rows(instances, args, out)
     return 0
+
+
+def cmd_check(args, out=None) -> int:
+    """Checks a solution file against its instance: the tour is one
+    ``Tour.from_visits`` accepts, every pickup precedes its delivery,
+    and COST is the tour's cost, exactly on integer instances and within
+    1e-9 x largest cost x visits on float ones. A failed check prints
+    one line on stderr and exits 1."""
+    out = out if out is not None else sys.stdout
+    inst = _read_input(args.instance, parse_instance)
+    cost, visits = _read_input(args.solution, parse_solution)
+    try:
+        tour = Tour.from_visits(inst, visits)
+    except ValueError as err:
+        return _check_failed(args.solution, f"TOUR: {err}")
+    late = tour.violations()
+    if late:
+        x = late[0]
+        return _check_failed(
+            args.solution, f"delivery {x + inst.n_pairs} comes before its pickup {x}"
+        )
+    if inst.integral:
+        ok = cost == tour.cost
+    else:
+        ok = abs(cost - tour.cost) <= 1e-9 * max(map(max, inst.cost)) * inst.n_visits
+    if not ok:
+        return _check_failed(
+            args.solution,
+            f"COST {_format_value(cost)} but the tour costs {_format_value(tour.cost)}",
+        )
+    print(f"{args.solution}: ok, cost {_format_value(cost)}", file=out)
+    return 0
+
+
+def _check_failed(path, reason: str) -> int:
+    print(f"pdtsp: {path}: {reason}", file=sys.stderr)
+    return 1
 
 
 def _instance_group(name: str) -> str:
@@ -337,6 +377,11 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--name", default="gen")
     gen.add_argument("--out", required=True, help="output directory")
     gen.set_defaults(func=cmd_gen)
+
+    check = sub.add_parser("check", help="check a solution file against its instance")
+    check.add_argument("instance")
+    check.add_argument("solution")
+    check.set_defaults(func=cmd_check)
     return ap
 
 

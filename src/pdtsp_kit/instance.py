@@ -116,8 +116,9 @@ class Instance:
     coords: list | None = None
     rounding: str = ROUND_NONE
     _work: list | None = field(default=None, init=False, repr=False, compare=False)
-    # Or-opt's neighbor lists, built on its first wide scan; see neighborhoods/oropt.py.
-    _screen: list | None = field(default=None, init=False, repr=False, compare=False)
+    # Or-opt's neighbor lists and nearest costs, built on its first scan
+    # of a tour of 10 pairs or more; see neighborhoods/oropt.py.
+    _screen: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.validate()
@@ -420,7 +421,8 @@ def render_instance(inst: Instance) -> str:
 
 
 def parse_solution(text: str):
-    """Reads a solution file: a COST line then a TOUR line of visit ids."""
+    """Reads a solution file: a COST line then a TOUR line of visit ids,
+    and nothing after them."""
     lines = list(_tokenize(text))
     if len(lines) < 2:
         line_no = lines[0][0] + 1 if lines else 1
@@ -438,6 +440,9 @@ def parse_solution(text: str):
         if not isinstance(v, int):
             raise FormatError(line_no, f"tour entries must be integers, got {tok!r}")
         visits.append(v)
+    if len(lines) > 2:
+        line_no, toks = lines[2]
+        raise FormatError(line_no, f"expected nothing after TOUR, got {' '.join(toks)!r}")
     return cost, visits
 
 

@@ -59,8 +59,9 @@ priced twice, since pricing a candidate that cannot win changes
 nothing.
 
 A length is screened only when it has more than ``SCREEN_WIDTH``
-feasible slots (hi - lo, the bridge not counted); below that, pricing
-every slot is cheaper than gathering candidates. Of 0, 16, 24 and 40,
+feasible slots left after the length bound below (the bridge not
+counted); below that, pricing every slot is cheaper than gathering
+candidates. Of 0, 16, 24 and 40,
 16 and 0 were fastest on locally optimal n = 50 and n = 200 tours, and
 0 cost 15-20% on n = 10 tours, where 16 never screens. The widest
 length has 2n - 2 slots, so tours of 9 pairs or fewer take the full
@@ -75,36 +76,77 @@ turn >= 0, >= -w(t,nx), >= 0, >= w(t,v) and, at the end, >= 0; the
 reversed sum has the same shape. So a candidate the screen drops has
 a computed delta of at least 0, which the full loop rejects too.
 
+The length bound
+----------------
+Most lengths have no slot that can improve at all, and an O(1) test
+skips them before any slot is gathered or priced. A forward candidate
+at the slot (u, v) computes ((d_rem + w(u,h)) + w(t,v)) - w(u,v), with
+d_rem = (w(p,nx) - w(p,h)) - w(t,nx); a reversed one has w(u,t) and
+w(h,v) in place of w(u,h) and w(t,v). Here u is never the open
+terminal, so w(u,x) >= nu[x], x's cheapest cost to another visit
+other than the open terminal, and w(x,v) >= nv[x], x's cheapest cost
+to any other visit (0 on open tours). The removed edge (u,v) is a
+tour edge left of the segment, at most M = max(edge[0..a-2]), or right
+of it, at most M = max(edge[a+L..]). Let k be the smaller of the two
+orientations' sums (d_rem + nu[h]) + nv[t] and (d_rem + nu[t]) + nv[h],
+added in the scan's order, or the forward one where reversal is not
+allowed. Rounding to nearest is monotone, so every candidate on a side
+computes a delta of at least k - M as computed; where that is no
+better than the running best, the side is dropped, and with both sides
+dropped only the reversed bridge move is left. That move removes
+(p,nx), which is no tour edge, so it is priced on every length.
+
+The bound runs only where the screen can: on tours of 10 pairs or more,
+whose widest length has more than ``SCREEN_WIDTH`` slots. In one round
+of the benchmark's hgs-closed workload (n = 50) it drops 60% of the
+lengths whole and one side of 21% more. Run on every tour, it made the
+small-exact workload, 5-8 pairs, about 8% slower.
+
 Each visit's neighbor list holds the other visit ids in order of cost,
-as one compact ``array`` row. The lists depend only on the costs: they
-are built on the instance's first wide scan and kept in
-``inst._screen``. The edge index depends on the tour: it is built on
-the tour's first wide scan since its last change and kept in
-``tour.screen``, which ``apply_move`` and ``recost`` clear and
-``Tour.copy`` shares.
+as one compact ``array`` row. The lists, nu and nv depend only on the
+costs: they are built on the instance's first scan of a tour of 10
+pairs or more and kept in ``inst._screen``. The edge maxima and the edge
+index depend on the tour: the maxima are built on the tour's first such
+scan since its last change and the index on its first wide length,
+and both are kept in ``tour.screen``, which ``apply_move`` and
+``recost`` clear and ``Tour.copy`` shares.
 """
 
 from __future__ import annotations
 
 from array import array
 from heapq import heappop, heappush
-from itertools import chain
+from itertools import accumulate, chain
 
-from ..instance import Instance
+from ..instance import OPEN, Instance
 from ..tour import MoveDelta, Tour
 
 SCREEN_WIDTH = 16
 
 
-def neighbor_lists(w: list) -> list:
-    """near[x]: the visit ids other than x in order of w[x], one compact
-    ``array`` row each."""
-    nv = len(w)
-    code = "H" if nv <= 1 << 16 else "I"
-    return [
-        array(code, sorted(chain(range(x), range(x + 1, nv)), key=row.__getitem__))
+def neighbor_lists(w: list, term: int) -> tuple:
+    """(near, nu, nv) for the work costs ``w``. near[x] lists the visit
+    ids other than x in order of w[x], one compact ``array`` row each.
+    nv[x] is x's cheapest cost to another visit and nu[x] the same with
+    the open terminal ``term`` left out (-1 on closed tours)."""
+    nvis = len(w)
+    code = "H" if nvis <= 1 << 16 else "I"
+    near = [
+        array(code, sorted(chain(range(x), range(x + 1, nvis)), key=row.__getitem__))
         for x, row in enumerate(w)
     ]
+    nv = [row[xs[0]] for row, xs in zip(w, near)]
+    nu = [row[xs[xs[0] == term]] for row, xs in zip(w, near)]
+    return near, nu, nv
+
+
+def edge_maxima(edge: list) -> tuple:
+    """(pre, suf): pre[i] = max(edge[:i]) and suf[i] = max(edge[i:]),
+    0 for an empty range."""
+    pre = list(accumulate(edge, max, initial=0))
+    suf = list(accumulate(reversed(edge), max, initial=0))
+    suf.reverse()
+    return pre, suf
 
 
 def edge_index(near: list, w: list, seq: list, edge: list) -> list:
@@ -139,7 +181,22 @@ def or_opt_scan(inst: Instance, tour: Tour, a: int, k_or: int) -> MoveDelta:
     wp = w[prev]
     wh = w[head]
     edge = tour.edge
-    idx = None
+    # The length bound and the screen engage on the same tours: those
+    # whose widest length, 2n - 2 slots, is wide.
+    bound = n2 - 2 > SCREEN_WIDTH
+    if bound:
+        screen = inst._screen
+        if screen is None:
+            term = inst.end if inst.mode == OPEN else -1
+            screen = inst._screen = neighbor_lists(w, term)
+        near, nu, nv = screen
+        state = tour.screen
+        if state is None:
+            state = tour.screen = [*edge_maxima(edge), None]
+        pre_left = state[0][a - 1]
+        suf = state[1]
+        nu_h = nu[head]
+        nv_h = nv[head]
 
     best_d = -inst.eps
     best_len = best_t = 0
@@ -169,14 +226,23 @@ def or_opt_scan(inst: Instance, tour: Tour, a: int, k_or: int) -> MoveDelta:
         d_rem = gain - wt[nxt]
         can_rev = length > 1 and not whole_pair
 
-        if hi - lo > SCREEN_WIDTH:
+        # first..hi are the slots still to price, a - 1 the bridge.
+        first = lo
+        if bound:
+            k = d_rem + nu_h + nv[tail]
+            if can_rev:
+                k_rev = d_rem + nu[tail] + nv_h
+                if k_rev < k:
+                    k = k_rev
+            if k - pre_left >= best_d:
+                first = a - 1
+            if k - suf[end] >= best_d:
+                hi = a - 1
+
+        if hi - first > SCREEN_WIDTH:
+            idx = state[2]
             if idx is None:
-                near = inst._screen
-                if near is None:
-                    near = inst._screen = neighbor_lists(w)
-                idx = tour.screen
-                if idx is None:
-                    idx = tour.screen = edge_index(near, w, seq, edge)
+                idx = state[2] = edge_index(near, w, seq, edge)
             if gain >= 0:
                 r = wt[nxt]
                 cand = idx[tail][:]
@@ -207,7 +273,7 @@ def or_opt_scan(inst: Instance, tour: Tour, a: int, k_or: int) -> MoveDelta:
                         if e > last:
                             break
                         t = e - length
-                    elif e < lo:
+                    elif e < first:
                         continue
                     else:
                         t = e
@@ -223,8 +289,8 @@ def or_opt_scan(inst: Instance, tour: Tour, a: int, k_or: int) -> MoveDelta:
                             best_d, best_len, best_t, best_rev = d, length, t, True
                 continue
 
-        u = seq[lo]
-        for t in range(lo, a - 1):
+        u = seq[first]
+        for t in range(first, a - 1):
             v = seq[t + 1]
             base = edge[t]
             d = d_rem + wh[u] + wt[v] - base

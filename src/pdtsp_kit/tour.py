@@ -73,10 +73,13 @@ class Tour:
     ``edge`` is derived state: ``edge[t]`` is the cost of the tour edge
     (seq[t], seq[t+1]). ``recost`` builds it and only ``apply_move``
     advances it. Both assign a new list, so copies share it safely.
-    ``screen`` is or-opt's edge index for the current sequence, or None:
-    ``or_opt_scan`` builds it on its first wide scan, and ``recost`` and
+    ``screen`` is or-opt's state for the current sequence, or None: the
+    prefix and suffix maxima of ``edge`` and the edge index, which
+    ``or_opt_scan`` builds on its first scan of a tour of 10 pairs or
+    more, the index only once a length is wide. ``recost`` and
     ``apply_move`` clear it where they assign ``edge``. Copies share it
-    too, as the index is never modified in place.
+    too: the maxima and the index are never modified, and the index is
+    filled in only for the sequence the copies share.
     """
 
     __slots__ = ("inst", "seq", "pos", "cost", "edge", "screen")
@@ -180,7 +183,7 @@ def four_opt_splice(seq, kind: str, cuts) -> list:
 
 def apply_move(inst: Instance, tour: Tour, move: MoveDelta) -> None:
     """Applies a MoveDelta in place, updating sequence, positions, edge
-    costs and cost, and clearing or-opt's edge index.
+    costs and cost, and clearing or-opt's per-tour state.
 
     Moves are trusted as the scans build them: a relocation names its
     pair's pickup in a precedence-feasible tour, and the cached cost is

@@ -49,6 +49,21 @@ def gen_instances(
     return paths
 
 
+def check_solutions(capsys, paths, sol_dir):
+    """Runs ``pdtsp check`` on every solution file in ``sol_dir`` against
+    the instance file of the name it starts with."""
+    sols = sorted(sol_dir.glob("*.sol"))
+    checked = 0
+    for p in paths:
+        for sol in sol_dir.glob(f"{p.stem}-*.sol"):
+            code, out, err = run_cli(capsys, ["check", str(p), str(sol)])
+            cost, _ = parse_solution(sol.read_text())
+            assert (code, err) == (0, "")
+            assert out == [f"{sol}: ok, cost {cli._format_value(cost)}"]
+            checked += 1
+    assert sols and checked == len(sols)
+
+
 def test_parse_seeds():
     assert parse_seeds("7") == [7]
     assert parse_seeds("1,2,5") == [1, 2, 5]
@@ -59,6 +74,16 @@ def test_load_refs(tmp_path):
     p = tmp_path / "refs.csv"
     p.write_text("# comment\nfoo-C0, 123\nbar-A1, 4.5  # trailing\n\n")
     assert load_refs(p) == {"foo-C0": 123, "bar-A1": 4.5}
+    for text, line, msg in [
+        ("a,1\na,1,2\n", 2, "expected 'name,cost', got 'a,1,2'"),
+        ("b, 3 ,junk\n", 1, "expected 'name,cost', got 'b, 3 ,junk'"),
+        ("a,1\n# again\na,5\n", 3, "reference 'a' repeated"),
+        (",5\n", 1, "expected 'name,cost', got ',5'"),
+    ]:
+        p.write_text(text)
+        with pytest.raises(cli.InputError) as err:
+            load_refs(p)
+        assert str(err.value) == f"{p}: line {line}: {msg}"
 
 
 def test_parse_seeds_rejects_empty_and_malformed_lists(capsys):
@@ -224,6 +249,54 @@ def test_solve_csv_rows_and_solution_files(capsys, tmp_path):
             tour = Tour.from_visits(inst, visits)
             assert tour.is_feasible()
             assert abs(tour.cost - cost) <= inst.eps
+    check_solutions(capsys, paths, sol_dir)
+
+
+@pytest.mark.parametrize("mode", ["closed", "open"])
+def test_check_accepts_solved_tours_and_names_each_fault(capsys, tmp_path, mode):
+    d = tmp_path / "inst"
+    run_cli(capsys, ["gen", "--n", "5", "--mode", mode, "--rounding", "none",
+                     "--name", "f", "--out", str(d)])
+    run_cli(capsys, ["gen", "--n", "5", "--mode", mode, "--name", "i", "--out", str(d)])
+    paths = sorted(d.glob("*.pdtsp"))
+    sol_dir = tmp_path / "sol"
+    code, _, _ = run_cli(
+        capsys, ["solve", *map(str, paths), "--method", "rr", "--iters", "30",
+                 "--seeds", "1,2", "--out", str(sol_dir)]
+    )
+    assert code == 0
+    check_solutions(capsys, paths, sol_dir)
+
+    path = d / "i-C0.pdtsp"
+    n = 5
+    cost, visits = parse_solution((sol_dir / "i-C0-rr-s1.sol").read_text())
+    x = visits[1]  # a pickup: nothing can precede the first pickup's delivery
+    swapped = [{x: x + n, x + n: x}.get(v, v) for v in visits]
+    repeated = visits[:2] + visits[3:]
+    repeated[2:2] = [x]
+    faults = [
+        (f"COST {cost + 1}", visits, 1, f"COST {cost + 1} but the tour costs {cost}"),
+        (f"COST {cost}", swapped, 1, f"delivery {x + n} comes before its pickup {x}"),
+        (f"COST {cost}", visits + [0], 1, "TOUR: tour needs 12 slots, got 13"),
+        (f"COST {cost}", repeated, 1, "TOUR: tour must visit every customer exactly once"),
+        (f"COST {cost}", visits + ["\nTOUR 0"], 2,
+         "line 3: expected nothing after TOUR, got 'TOUR 0'"),
+    ]
+    bad = tmp_path / "bad.sol"
+    for head, tour, status, msg in faults:
+        bad.write_text(f"{head}\nTOUR " + " ".join(map(str, tour)) + "\n")
+        assert run_cli(capsys, ["check", str(path), str(bad)]) == (
+            status, [], f"pdtsp: {bad}: {msg}\n"
+        )
+
+    # Float costs pass within 1e-9 x largest cost x visits, and only there.
+    path = d / "f-C0.pdtsp"
+    inst = parse_instance(path.read_text())
+    cost, visits = parse_solution((sol_dir / "f-C0-rr-s1.sol").read_text())
+    tol = 1e-9 * max(map(max, inst.cost)) * inst.n_visits
+    for off, status in [(0.5 * tol, 0), (-0.5 * tol, 0), (2 * tol, 1)]:
+        bad.write_text(f"COST {cost + off!r}\nTOUR " + " ".join(map(str, visits)) + "\n")
+        assert run_cli(capsys, ["check", str(path), str(bad)])[0] == status
 
 
 def test_solve_deterministic_modulo_timing(capsys, tmp_path):

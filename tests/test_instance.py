@@ -348,6 +348,10 @@ def test_solution_roundtrip():
         parse_solution("COST x\nTOUR 0\n")
     with pytest.raises(FormatError):
         parse_solution("TOUR 0 1\n")
+    for text in ("COST 3\nTOUR 0 1 0\nTOUR 0 1 0\n", "COST 3\nTOUR 0 1 0\n\n# end\njunk\n"):
+        with pytest.raises(FormatError, match="expected nothing after TOUR") as err:
+            parse_solution(text)
+        assert err.value.line_no == len(text.splitlines())
 
 
 @pytest.mark.parametrize(

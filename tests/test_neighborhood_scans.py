@@ -1,6 +1,7 @@
 """Relocate, 2-opt and or-opt scans against realization references."""
 
 import dataclasses
+import math
 import random
 
 import pytest
@@ -16,7 +17,7 @@ from pdtsp_kit.neighborhoods.oracles import (
     two_opt_oracle,
 )
 from pdtsp_kit.instance import Instance, generate_pairs
-from pdtsp_kit.tour import Tour, apply_move, insert_pair, tour_cost
+from pdtsp_kit.tour import MoveDelta, Tour, apply_move, insert_pair, tour_cost
 from helpers import (
     euclid_instance,
     float_instance,
@@ -394,3 +395,117 @@ def test_dropped_candidates_compute_no_improvement(a, b, c, x, y, z):
     x, c = max(x, c), min(x, c)
     y, z = max(y, z), min(y, z)
     assert a - b - c + x + y - z >= 0
+
+
+# ---------------------------------------------------------------------------
+# Or-opt's length bound drops a side of a length, or the whole length,
+# when k - M, a lower bound on every candidate's computed delta there,
+# cannot beat the running best. It runs on the tours the screen can
+# reach, those of 10 pairs or more.
+
+
+class CountingList(list):
+    """A list that counts its item reads."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+def or_opt_descent(inst, tour, k_or=30):
+    """Applies or-opt's best move at each anchor until none improves."""
+    improved = True
+    while improved:
+        improved = False
+        for a in range(1, 2 * inst.n_pairs + 1):
+            mv = or_opt_scan(inst, tour, a, k_or)
+            if mv.indices:
+                apply_move(inst, tour, mv)
+                improved = True
+
+
+def pass_edge_reads(inst, tour):
+    """Moves and tour-edge reads of one or-opt pass over every anchor.
+    Only slot pricing reads ``tour.edge`` by item, so the reads count
+    the slots priced."""
+    tour.edge = CountingList(tour.edge)
+    moves = [or_opt_scan(inst, tour, a, 30) for a in range(1, 2 * inst.n_pairs + 1)]
+    return moves, tour.edge.reads
+
+
+@pytest.mark.parametrize("mode", ["closed", "open"])
+def test_length_bound_skips_lengths_on_locally_optimal_tours(mode):
+    rng = random.Random(490)
+    inst = euclid_instance(rng, 50, mode=mode)
+    tour = random_feasible_tour(rng, inst)
+    or_opt_descent(inst, tour)
+    moves, reads = pass_edge_reads(inst, tour.copy())
+    assert not any(mv.indices for mv in moves)
+    # Bounds of minus infinity never drop anything: the scan then
+    # prices what it priced without the bound.
+    near, nu, nv = inst._screen
+    unbounded = dataclasses.replace(inst)
+    unbounded._screen = near, [-math.inf] * len(nu), [-math.inf] * len(nv)
+    moves_unbounded, reads_unbounded = pass_edge_reads(unbounded, tour.copy())
+    assert moves_unbounded == moves
+    assert reads < 0.75 * reads_unbounded
+
+
+@pytest.mark.parametrize("n", [5, 9])
+def test_length_bound_never_runs_below_ten_pairs(n):
+    rng = random.Random(491)
+    for mode in ("closed", "open"):
+        inst = euclid_instance(rng, n, mode=mode)
+        tour = random_feasible_tour(rng, inst)
+        or_opt_descent(inst, tour)
+        assert tour.screen is None and inst._screen is None
+
+
+def test_length_bound_keeps_the_zero_cost_edge_into_the_terminal():
+    # Visits on a line in tour order, but for the last pickup's delivery,
+    # placed far out and visited second to last. Its one improving slot
+    # is the edge into the open terminal, which costs 0 although every
+    # real visit is far from it: a bound that priced that edge at the
+    # nearest real visit would drop the slot, and the scan would take
+    # the same tour from a longer segment instead.
+    n = 10
+    seq = list(range(2 * n - 1)) + [2 * n, 2 * n - 1]
+    x = {v: i for i, v in enumerate(seq)}
+    x[2 * n] = 1000
+    cost = [[abs(x[i] - x[j]) for j in range(2 * n + 1)] for i in range(2 * n + 1)]
+    inst = Instance(n, cost, mode="open", name="far-delivery")
+    tour = Tour(inst, seq + [inst.end])
+    a = 2 * n - 1
+    assert or_opt_scan(inst, tour, a, 30) == MoveDelta(
+        "or-opt", (a, 1, a, False), 2 * n - 1000
+    )
+    for a in range(1, 2 * n + 1):
+        mv = or_opt_scan(inst, tour, a, 30)
+        assert (mv.indices, mv.delta) == oracle_result(inst, tour, a, 30)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    removed=st.tuples(costs, costs, costs),
+    head=st.tuples(costs, costs, costs, costs),
+    tail=st.tuples(costs, costs, costs, costs),
+    edges=st.tuples(costs, costs),
+)
+def test_length_bound_is_below_every_computed_delta(removed, head, tail, edges):
+    # With w(u,h) >= nu[h], w(h,v) >= nv[h] (and the same for t) and the
+    # removed slot edge at most M, both orientations' sums, in the
+    # scan's order, are at least k - M as computed.
+    p_nx, p_h, t_nx = removed
+    nu_h, w_uh, nv_h, w_hv = head
+    nu_t, w_ut, nv_t, w_tv = tail
+    nu_h, w_uh = min(nu_h, w_uh), max(nu_h, w_uh)
+    nv_h, w_hv = min(nv_h, w_hv), max(nv_h, w_hv)
+    nu_t, w_ut = min(nu_t, w_ut), max(nu_t, w_ut)
+    nv_t, w_tv = min(nv_t, w_tv), max(nv_t, w_tv)
+    base, big = min(edges), max(edges)
+    d_rem = p_nx - p_h - t_nx
+    k = min(d_rem + nu_h + nv_t, d_rem + nu_t + nv_h)
+    assert d_rem + w_uh + w_tv - base >= k - big
+    assert d_rem + w_ut + w_hv - base >= k - big
