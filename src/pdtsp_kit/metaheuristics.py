@@ -17,6 +17,15 @@ proximity lists (Vidal 2022): an entering member updates every other
 member's pair in O(1), and a leaving one sends back to a full sort only
 the rows whose pair it may have been part of. Ranking then reads two
 floats per member instead of sorting every row.
+
+A tour whose sequence equals a current member's, a twin, reuses what
+that member paid for. If the member's descent finished, no pair step
+improves the tour, so the twin's descent starts with every pair
+already stamped (``local_search(settled=True)``) and skips straight to
+its large phase, if drawn. An entering twin takes the member's edge set
+and distance row instead of one Jaccard distance per member. Both are
+exact: the descent's steps depend only on the tour, and the edge set
+only on the sequence.
 """
 
 from __future__ import annotations
@@ -354,11 +363,27 @@ def biased_fitness(costs, contrib, mu_elite: int = 1) -> list:
 
 
 class _Member:
-    __slots__ = ("tour", "edges")
+    # ``settled``: the member's descent finished, so no pair step
+    # improves its tour.
+    __slots__ = ("tour", "edges", "settled")
 
-    def __init__(self, tour, edges):
+    def __init__(self, tour, edges, settled):
         self.tour = tour
         self.edges = edges
+        self.settled = settled
+
+
+def find_twin(pop, seq) -> int | None:
+    """Index of the first member whose tour visits ``seq`` in order.
+
+    Sequences are compared, never costs: equal float tours can carry
+    costs that differ in the last bit, because ``apply_move`` advances
+    the cost by each move's delta.
+    """
+    for k, m in enumerate(pop):
+        if m.tour.seq == seq:
+            return k
+    return None
 
 
 def hgs_run(
@@ -371,8 +396,9 @@ def hgs_run(
     ``max_no_improve`` consecutive children without a new best.
 
     The time budget also bounds every descent and the building of the
-    initial population, which stops at the deadline once it holds one
-    tour.
+    initial population. Once that holds one tour, it starts no greedy
+    construction that would end past the deadline if it took as long
+    as the previous one.
     """
     t_start = time.perf_counter()
     deadline = None if params.tmax is None else t_start + params.tmax
@@ -382,10 +408,23 @@ def hgs_run(
     dist: list[list[float]] = []
     near: list[list[float]] = []
 
-    def add(tour: Tour):
-        e = edge_set(loc, tour.seq)
-        join_neighbors(dist, near, [jaccard(e, m.edges) for m in pop])
-        pop.append(_Member(tour, e))
+    def educate_and_add(tour: Tour):
+        k = find_twin(pop, tour.seq)
+        settled = k is not None and pop[k].settled
+        local_search(inst, tour, sp, rng, deadline=deadline, settled=settled)
+        # A descent cut by the deadline returns only after it.
+        finished = deadline is None or time.perf_counter() < deadline
+        k = find_twin(pop, tour.seq)
+        if k is None:
+            e = edge_set(loc, tour.seq)
+            row = [jaccard(e, m.edges) for m in pop]
+        else:
+            # A twin's distances are its own row: jaccard is symmetric
+            # and gives 0.0 on equal sets, the diagonal entry.
+            e = pop[k].edges
+            row = dist[k][:]
+        join_neighbors(dist, near, row)
+        pop.append(_Member(tour, e, finished))
 
     def ranks():
         costs = [m.tour.cost for m in pop]
@@ -406,18 +445,23 @@ def hgs_run(
     best = None
     ttb = 0.0
     for _ in range(params.mu):
+        t_build = time.perf_counter()
         t = greedy_construct(inst, rng)
-        local_search(inst, t, sp, rng, deadline=deadline)
-        add(t)
+        build_s = time.perf_counter() - t_build
+        educate_and_add(t)
         if best is None or t.cost < best.cost:
             best = t.copy()
             ttb = time.perf_counter() - t_start
-        if deadline is not None and time.perf_counter() >= deadline:
+        # A construction reads no clock, so none starts that would end
+        # past the deadline if it took as long as the last one.
+        if deadline is not None and time.perf_counter() + build_s >= deadline:
             break
 
     children = 0
     no_improve = 0
-    while True:
+    # Trimming keeps mu members, so a smaller population is one whose
+    # building the deadline stopped, and the run ends with it.
+    while len(pop) >= params.mu:
         if deadline is not None and time.perf_counter() >= deadline:
             break
         if params.max_no_improve is not None and no_improve >= params.max_no_improve:
@@ -432,8 +476,7 @@ def hgs_run(
         p1 = pop[pick()].tour
         p2 = pop[pick()].tour
         child = mutate_and_repair(inst, lox_crossover(p1, p2, rng))
-        local_search(inst, child, sp, rng, deadline=deadline)
-        add(child)
+        educate_and_add(child)
         children += 1
         if child.cost < best.cost:
             best = child.copy()

@@ -21,6 +21,13 @@ equals the stamp, the tour is the one that step last saw, and
 would find no improving move again; it is skipped. The shuffle still
 runs every round, so tours, costs and the random stream are exactly
 those of a descent that rescans everything.
+
+A caller that already knows no pair step improves the starting tour,
+because an earlier descent finished there, passes ``settled=True``. The
+descent then starts with every pair stamped at count 0, the state a
+first sweep of empty pair steps leaves behind, and the same argument
+makes it exact: the first round still draws the large phase and
+shuffles, and only pair steps that would find nothing are skipped.
 """
 
 from __future__ import annotations
@@ -119,6 +126,7 @@ def local_search(
     use_large: bool | None = None,
     *,
     deadline: float | None = None,
+    settled: bool = False,
 ) -> Tour:
     """Runs the tour to a local optimum in place and returns it.
 
@@ -126,12 +134,19 @@ def local_search(
     starts no round, pair step or large step after it, so the tour may
     be short of a local optimum; it is still feasible and its cost is
     exact. Without one, no clock is read.
+
+    ``settled=True`` promises that no pair step improves ``tour``, as
+    after a descent that finished at this very sequence. The descent
+    then skips the pair steps of its first sweep and returns what a
+    plain descent would return, with the same random draws, since
+    ``pair_step`` depends only on the tour. The large phase runs as
+    usual when it is drawn.
     """
     if use_large is None:
         use_large = rng.random() < params.p_large
     n = inst.n_pairs
     pairs = list(range(1, n + 1))
-    stamps = [0] + [-1] * n
+    stamps = [0] + [0 if settled else -1] * n
     large_stamp = -1
     improved = True
     while improved:

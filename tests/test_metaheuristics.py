@@ -3,10 +3,13 @@
 import math
 import random
 import time
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import pdtsp_kit.metaheuristics as metaheuristics
+import pdtsp_kit.search as search
 from pdtsp_kit.instance import Instance, build_cost_matrix
 from pdtsp_kit.metaheuristics import (
     HgsParams,
@@ -26,6 +29,7 @@ from pdtsp_kit.metaheuristics import (
     mutate_and_repair,
     rr_run,
 )
+from pdtsp_kit.neighborhoods import SearchParams
 from pdtsp_kit.neighborhoods.oracles import best_insertion_naive
 from pdtsp_kit.neighborhoods.relocate import best_insertion, removal_delta
 from pdtsp_kit.oracle import brute_force_optimal
@@ -393,6 +397,97 @@ def test_hgs_trajectory_is_pinned(make, cost, seq, children):
     assert type(best.cost) is type(cost)
 
 
+def _twin_case(k):
+    # Integer, float, matrix-only and duplicate-coordinate instances of
+    # 3-6 pairs, open and closed, with the population and large-phase
+    # settings cycling through their ranges.
+    rng = random.Random(2000 + k)
+    n = 3 + k % 4
+    mode = ("closed", "open")[k % 2]
+    kind = k % 4
+    if kind == 0:
+        inst = euclid_instance(rng, n, mode=mode)
+    elif kind == 1:
+        inst = float_instance(rng, n, mode=mode)
+    elif kind == 2:
+        inst = Instance(n, euclid_instance(rng, n, span=30).cost, mode=mode)
+    else:
+        inst = euclid_instance(rng, n, mode=mode, span=4)
+    params = HgsParams(
+        mu=3 + k % 4,
+        lam=1 + k % 6,
+        max_no_improve=20,
+        search=SearchParams(p_large=(0.0, 0.5, 1.0)[k % 3]),
+    )
+    return inst, params
+
+
+def test_hgs_twins_follow_the_trajectory_without_them(monkeypatch):
+    # Twins skip a finished descent's pair steps and reuse a member's
+    # distances; a run whose twin lookup finds nothing must end the same.
+    found = {"twins": 0, "settled": 0}
+    real_find, real_search = metaheuristics.find_twin, metaheuristics.local_search
+
+    def counting_find(pop, seq):
+        k = real_find(pop, seq)
+        found["twins"] += k is not None
+        return k
+
+    def counting_search(*args, settled=False, **kwargs):
+        found["settled"] += settled
+        return real_search(*args, settled=settled, **kwargs)
+
+    for k in range(40):
+        inst, params = _twin_case(k)
+        runs = []
+        for find in (counting_find, lambda pop, seq: None):
+            monkeypatch.setattr(metaheuristics, "find_twin", find)
+            monkeypatch.setattr(metaheuristics, "local_search", counting_search)
+            stats = {}
+            rng = random.Random(k)
+            best = hgs_run(inst, params, rng, stats)
+            del stats["ttb"]  # wall time
+            runs.append((best.cost, best.seq, stats, rng.getstate()))
+            assert type(best.cost) is type(runs[0][0])
+        assert runs[0] == runs[1], k
+    assert found["twins"] > 0
+    assert found["settled"] > 0
+
+
+def test_descent_cut_by_the_deadline_never_settles_its_member(monkeypatch):
+    # A fake clock passes the deadline at the start of every third
+    # descent and goes back at the next twin lookup, so the run goes on
+    # with members whose descent was cut.
+    now = [0.0]
+    clock = SimpleNamespace(perf_counter=lambda: now[0])
+    monkeypatch.setattr(metaheuristics, "time", clock)
+    monkeypatch.setattr(search, "time", clock)
+    real_find, real_search = metaheuristics.find_twin, metaheuristics.local_search
+    cut, members = [], []
+
+    def rewinding_find(pop, seq):
+        now[0] = 0.0
+        members.extend(m for m in pop if m not in members)
+        return real_find(pop, seq)
+
+    def cutting_search(inst, tour, *args, **kwargs):
+        if len(cut) * 3 <= len(members):
+            now[0] = 2.0
+            cut.append(tour)
+        return real_search(inst, tour, *args, **kwargs)
+
+    monkeypatch.setattr(metaheuristics, "find_twin", rewinding_find)
+    monkeypatch.setattr(metaheuristics, "local_search", cutting_search)
+    inst = euclid_instance(random.Random(106), 5)
+    params = HgsParams(mu=3, lam=4, tmax=1.0, max_no_improve=40)
+    best = hgs_run(inst, params, random.Random(3))
+    assert best.is_feasible()
+    was_cut = [m for m in members if any(m.tour is t for t in cut)]
+    assert was_cut
+    assert not any(m.settled for m in was_cut)
+    assert any(m.settled for m in members)
+
+
 def test_hgs_time_budget_stops():
     inst = euclid_instance(random.Random(104), 8)
     params = HgsParams(mu=4, lam=4, tmax=0.3, max_no_improve=None)
@@ -413,20 +508,48 @@ def test_hgs_time_budget_bounds_every_descent():
 
 
 def test_hgs_overruns_tmax_by_at_most_one_step_at_n200():
-    # A descent from a greedy n = 200 tour outlasts the whole budget, so
-    # only the deadline checks before each pair step stop it. With solver
-    # seed 2 no descent takes the large phase within the first 2 s: a
-    # large step starts only before the deadline, but it takes about
-    # 0.3 s. Overruns of this call measured on a 2-core shared host:
-    # 0.4-2.4 ms in 24 runs, 12 of them with the other core busy; with
-    # checks only before each round they were 5-184 ms in 6 runs. The
-    # bound is twice the largest, 4.8 ms, rounded up.
+    # Each member of the initial population takes about 0.4 s here: a
+    # 10-15 ms greedy construction, then a descent. The deadline checks
+    # before each pair step stop a descent, and a construction starts
+    # only if one as long as the last would end in time; without that
+    # rule, one that started 2 ms before the deadline overran by 12 ms.
+    # With solver seed 2 no descent takes the large phase within the
+    # first 2 s: a large step starts only before the deadline, but it
+    # takes about 0.3 s. Overruns of this call measured on a 2-core
+    # shared host: 0.4-2.4 ms in 24 runs, 12 of them with the other core
+    # busy; with checks only before each round they were 5-184 ms in 6
+    # runs. The bound is twice the largest, 4.8 ms, rounded up.
     inst = float_instance(random.Random(105), 200, mode="open")
     t0 = time.perf_counter()
     best = hgs_run(inst, HgsParams(tmax=1.0), random.Random(2))
     overrun = time.perf_counter() - t0 - 1.0
     assert overrun < 0.005, overrun
     assert best.is_feasible()
+
+
+def test_hgs_starts_no_construction_that_would_end_past_the_deadline(monkeypatch):
+    # On a fake clock each construction takes 0.4 s and each descent
+    # none; a 1 s budget leaves room for the second construction, not
+    # for a third, and a population of two ends the run.
+    now = [0.0]
+    clock = SimpleNamespace(perf_counter=lambda: now[0])
+    monkeypatch.setattr(metaheuristics, "time", clock)
+    monkeypatch.setattr(search, "time", clock)
+    built = []
+
+    def slow_construct(inst, rng):
+        now[0] += 0.4
+        built.append(greedy_construct(inst, rng))
+        return built[-1]
+
+    monkeypatch.setattr(metaheuristics, "greedy_construct", slow_construct)
+    inst = euclid_instance(random.Random(107), 5)
+    stats = {}
+    best = hgs_run(inst, HgsParams(mu=5, lam=2, tmax=1.0), random.Random(4), stats)
+    assert len(built) == 2
+    assert now[0] <= 1.0
+    assert stats["children"] == 0
+    assert best.cost == min(t.cost for t in built)
 
 
 def test_hgs_params_validation():

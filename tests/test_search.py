@@ -160,6 +160,38 @@ def test_stamped_descent_matches_full_rescan(monkeypatch, mode, build, use_large
     assert skipped > 0
 
 
+@pytest.mark.parametrize("mode", ["closed", "open"])
+@pytest.mark.parametrize("build", [euclid_instance, float_instance])
+@pytest.mark.parametrize("use_large", [None, False, True])
+def test_settled_descent_skips_only_empty_pair_steps(monkeypatch, mode, build, use_large):
+    # From the tour a finished descent left, ``settled=True`` may skip
+    # the pair steps of the first sweep and nothing else.
+    params = SearchParams(p_large=0.5)
+    log = _spy_steps(monkeypatch)
+    large_ran = 0
+    for seed in range(12):
+        inst = build(random.Random(950 + seed), 6 + seed % 3, mode=mode)
+        start = random_feasible_tour(random.Random(seed), inst)
+        local_search(inst, start, params, random.Random(seed), use_large=seed % 2 == 0)
+        plain, rng_plain = start.copy(), random.Random(100 + seed)
+        local_search(inst, plain, params, rng_plain, use_large)
+        got, rng = start.copy(), random.Random(100 + seed)
+        del log[:]
+        local_search(inst, got, params, rng, use_large, settled=True)
+        assert got.seq == plain.seq
+        assert got.cost == plain.cost
+        assert rng.getstate() == rng_plain.getstate()
+        steps = [step for step, _, _ in log]
+        if 0 in steps:
+            large_ran += 1
+            assert steps.index(0) == 0
+        else:
+            assert steps == []
+            assert got.seq == start.seq
+    if use_large is not False:
+        assert large_ran > 0
+
+
 def test_descent_stops_at_deadline():
     rng = random.Random(87)
     inst = euclid_instance(rng, 8)
