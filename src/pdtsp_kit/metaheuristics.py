@@ -395,10 +395,12 @@ def hgs_run(
     """Hybrid genetic search; stops on the time budget or after
     ``max_no_improve`` consecutive children without a new best.
 
-    The time budget also bounds every descent and the building of the
-    initial population. Once that holds one tour, it starts no greedy
-    construction that would end past the deadline if it took as long
-    as the previous one.
+    The time budget also bounds every descent, the building of the
+    initial population and the breeding of children. Once the population
+    holds one tour, it starts no greedy construction that would end past
+    the deadline if it took as long as the previous one, and it starts no
+    child whose crossover, mutation and repair would end past it if they
+    took as long as the previous child's.
     """
     t_start = time.perf_counter()
     deadline = None if params.tmax is None else t_start + params.tmax
@@ -459,10 +461,13 @@ def hgs_run(
 
     children = 0
     no_improve = 0
+    breed_s = 0.0
     # Trimming keeps mu members, so a smaller population is one whose
     # building the deadline stopped, and the run ends with it.
     while len(pop) >= params.mu:
-        if deadline is not None and time.perf_counter() >= deadline:
+        # Breeding reads no clock either, so the construction rule
+        # holds for children too.
+        if deadline is not None and time.perf_counter() + breed_s >= deadline:
             break
         if params.max_no_improve is not None and no_improve >= params.max_no_improve:
             break
@@ -473,9 +478,12 @@ def hgs_run(
             j = rng.randrange(len(pop))
             return i if bf[i] <= bf[j] else j
 
+        t_breed = None if deadline is None else time.perf_counter()
         p1 = pop[pick()].tour
         p2 = pop[pick()].tour
         child = mutate_and_repair(inst, lox_crossover(p1, p2, rng))
+        if t_breed is not None:
+            breed_s = time.perf_counter() - t_breed
         educate_and_add(child)
         children += 1
         if child.cost < best.cost:

@@ -14,16 +14,18 @@ pending positions whose minimum gives hi. Reversal is allowed unless
 the segment holds a complete pair, whose order the flip would break.
 
 Slots are read straight from the tour. For a segment of length L,
-slot t is the tour edge t, (seq[t], seq[t+1]), when t < a-1; the
-bridge (seq[a-1], seq[a+L]) left by the removal when t == a-1; and the
+slot t is the tour edge t, (seq[t], seq[t+1]), when t < a-1, and the
 tour edge t+L when t >= a. The tour's edge costs are read from
 ``tour.edge``, which ``apply_move`` keeps current, and the other costs
 a slot needs lie in the rows of the segment's head and tail, so the
 slot loops touch no other matrix row.
 The reversed candidate's cost from a slot's left end u to the tail is
 read as w[tail][u], equal to w[u][tail] since costs are symmetric.
-Reinserting the segment unreversed at the bridge is the identity and
-is skipped; reinserting it reversed there is a real candidate.
+Slot a-1, the bridge (seq[a-1], seq[a+L]) left by the removal, is
+never a candidate. Reinserting the segment there unreversed is the
+identity. Reversed, it gives the tour of the length L-1 candidate at
+slot a (reversed for L >= 3, forward for L = 2), which is listed
+earlier and is feasible whenever the reversal is.
 
 Candidates are visited by length, then slot, then forward before
 reversed, and the first strict minimum below ``-inst.eps`` wins.
@@ -48,8 +50,7 @@ inequality, so it holds for every symmetric matrix. Hence:
   visit x, the left-end positions of the tour edges (u,v) with
   w(x,v) < w(u,v);
 - a reversed move adds (u,t) and (h,v) instead, so its candidates are
-  the same with h and t swapped, at the same radius w(t,nx);
-- the reversed move into the bridge is priced every time.
+  the same with h and t swapped, at the same radius w(t,nx).
 
 Candidates are priced in the full loop's order with its arithmetic,
 and every candidate the screen drops has a delta no better than the
@@ -59,9 +60,8 @@ priced twice, since pricing a candidate that cannot win changes
 nothing.
 
 A length is screened only when it has more than ``SCREEN_WIDTH``
-feasible slots left after the length bound below (the bridge not
-counted); below that, pricing every slot is cheaper than gathering
-candidates. Of 0, 16, 24 and 40,
+feasible slots left after the length bound below; below that, pricing
+every slot is cheaper than gathering candidates. Of 0, 16, 24 and 40,
 16 and 0 were fastest on locally optimal n = 50 and n = 200 tours, and
 0 cost 15-20% on n = 10 tours, where 16 never screens. The widest
 length has 2n - 2 slots, so tours of 9 pairs or fewer take the full
@@ -92,9 +92,8 @@ orientations' sums (d_rem + nu[h]) + nv[t] and (d_rem + nu[t]) + nv[h],
 added in the scan's order, or the forward one where reversal is not
 allowed. Rounding to nearest is monotone, so every candidate on a side
 computes a delta of at least k - M as computed; where that is no
-better than the running best, the side is dropped, and with both sides
-dropped only the reversed bridge move is left. That move removes
-(p,nx), which is no tour edge, so it is priced on every length.
+better than the running best, the side is dropped, and a length with
+both sides dropped prices nothing.
 
 The bound runs only where the screen can: on tours of 10 pairs or more,
 whose widest length has more than ``SCREEN_WIDTH`` slots. In one round
@@ -226,7 +225,7 @@ def or_opt_scan(inst: Instance, tour: Tour, a: int, k_or: int) -> MoveDelta:
         d_rem = gain - wt[nxt]
         can_rev = length > 1 and not whole_pair
 
-        # first..hi are the slots still to price, a - 1 the bridge.
+        # first..hi are the slots still to price, a - 1 excepted.
         first = lo
         if bound:
             k = d_rem + nu_h + nv[tail]
@@ -251,23 +250,15 @@ def or_opt_scan(inst: Instance, tour: Tour, a: int, k_or: int) -> MoveDelta:
                         break
                     cand.append(pos[u])
                 if can_rev:
-                    # a - 1 places the reversed bridge move in slot order.
                     cand += idx[head]
-                    cand.append(a - 1)
                     for u in near[tail]:
                         if wt[u] >= r:
                             break
                         cand.append(pos[u])
                 cand.sort()
-                bridge = can_rev
                 last = hi + length
                 for e in cand:
                     if e >= a - 1:
-                        if bridge:
-                            bridge = False
-                            d = d_rem + wp[tail] + wh[nxt] - wp[nxt]
-                            if d < best_d:
-                                best_d, best_len, best_t, best_rev = d, length, a - 1, True
                         if e < end:
                             continue
                         if e > last:
@@ -301,10 +292,6 @@ def or_opt_scan(inst: Instance, tour: Tour, a: int, k_or: int) -> MoveDelta:
                 if d < best_d:
                     best_d, best_len, best_t, best_rev = d, length, t, True
             u = v
-        if can_rev:
-            d = d_rem + wp[tail] + wh[nxt] - wp[nxt]
-            if d < best_d:
-                best_d, best_len, best_t, best_rev = d, length, a - 1, True
         u = nxt
         for t in range(a, hi + 1):
             v = seq[t + length + 1]

@@ -15,6 +15,13 @@ over the full tour is never positive because shrinking to the empty
 interval gains zero; unless it is below ``-inst.eps`` the scan returns
 the empty move without decoding.
 
+A 2-opt on (i, i + 2) flips one visit and leaves the tour as it was.
+Its computed gain is 0 on integer costs, but on float costs it can
+round to about -1e-13 and win a strict comparison. Only case 3 at
+j = i + 2 reads the single-visit cells F(i + 1, i + 1) and
+R(i + 1, i + 1), so each row stores ``math.inf`` in its single-visit
+cell, and such a flip never wins.
+
 The tables are filled row by row, i descending and j ascending. Cell
 (i, j) reads only row i + 1 and the cells of row i left of j, so two
 rows of F and R are live at a time, and the 2-opt gain on (i, j) comes
@@ -23,8 +30,8 @@ tables are kept whole for decoding.
 
 Every case moves inward from one end of [i, j] or from both, so the
 chosen cases form one path from the full tour down to an interval of
-at most two visits. Decoding walks that path once, in a loop, and
-yields both the gain and the reordered tour from one call.
+two visits. Decoding walks that path once, in a loop, and yields both
+the gain and the reordered tour from one call.
 """
 
 from __future__ import annotations
@@ -48,13 +55,16 @@ def two_k_opt_best(inst: Instance, tour: Tour) -> MoveDelta:
     FC = [[0] * size for _ in range(size)]
     RC = [[0] * size for _ in range(size)]
 
-    # F_in and R_in hold row i + 1; intervals shorter than 2 gain 0.
+    # F_in and R_in hold row i + 1. Two-visit intervals gain 0, and a
+    # flip over a single visit is barred by an infinite cell.
     wrow = [w[v] for v in seq]
     F_in = [0] * size
     R_in = [0] * size
+    F_in[top - 1] = R_in[top - 1] = math.inf
     for i in range(top - 2, -1, -1):
         F_i = [0] * size
         R_i = [0] * size
+        F_i[i] = R_i[i] = math.inf
         FC_i = FC[i]
         RC_i = RC[i]
         w_i = wrow[i]

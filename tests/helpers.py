@@ -70,34 +70,46 @@ def line_tour(n, *, mode="closed", step=10) -> Tour:
     return Tour.identity(Instance(n, cost, mode=mode, name=f"line{n}"))
 
 
+def or_opt_range(inst: Instance, tour: Tour, a: int, length: int):
+    """(lo, hi, can_rev) for the segment of ``length`` visits at position
+    a: its feasible slots lo..hi, slot a - 1 among them, and whether it
+    may be reversed."""
+    seq, pos = tour.seq, tour.pos
+    n = inst.n_pairs
+    end = a + length
+    seg = seq[a:end]
+    lo = max([pos[v - n] for v in seg if v > n and pos[v - n] < a], default=0)
+    outs = [pos[v + n] for v in seg if v <= n and pos[v + n] >= end]
+    hi = min(outs) - length - 1 if outs else 2 * n - length
+    can_rev = length > 1 and not any(v <= n and v + n in seg for v in seg)
+    return lo, hi, can_rev
+
+
 def or_opt_full_pricing(inst: Instance, tour: Tour, a: int, k_or: int):
     """(indices, delta) of or-opt's best improving move, every feasible
-    slot priced with ``or_opt_scan``'s arithmetic and in its order.
+    slot but a - 1 priced with ``or_opt_scan``'s arithmetic and in its
+    order.
 
     The reference for the scan's gain screen: the same floats, so equal
     results are required even where rounding decides.
     """
-    seq, pos, edge = tour.seq, tour.pos, tour.edge
-    n = inst.n_pairs
+    seq, edge = tour.seq, tour.edge
     w = inst.work_cost()
     best_d, best = -inst.eps, ()
-    for length in range(1, min(k_or, 2 * n - a + 1) + 1):
+    for length in range(1, min(k_or, 2 * inst.n_pairs - a + 1) + 1):
         end = a + length
-        seg = seq[a:end]
-        lo = max([pos[v - n] for v in seg if v > n and pos[v - n] < a], default=0)
-        outs = [pos[v + n] for v in seg if v <= n and pos[v + n] >= end]
-        hi = min(outs) - length - 1 if outs else 2 * n - length
-        can_rev = length > 1 and not any(v <= n and v + n in seg for v in seg)
+        lo, hi, can_rev = or_opt_range(inst, tour, a, length)
         p, h, t, nx = seq[a - 1], seq[a], seq[end - 1], seq[end]
         d_rem = w[p][nx] - w[p][h] - w[t][nx]
         for slot in range(lo, hi + 1):
             if slot == a - 1:
-                trials = [(True, d_rem + w[p][t] + w[h][nx] - w[p][nx])]
-            else:
-                e = slot if slot < a - 1 else slot + length
-                u, v = seq[e], seq[e + 1]
-                trials = [(False, d_rem + w[h][u] + w[t][v] - edge[e])]
-                trials.append((True, d_rem + w[t][u] + w[h][v] - edge[e]))
+                continue
+            e = slot if slot < a - 1 else slot + length
+            u, v = seq[e], seq[e + 1]
+            trials = [
+                (False, d_rem + w[h][u] + w[t][v] - edge[e]),
+                (True, d_rem + w[t][u] + w[h][v] - edge[e]),
+            ]
             for rev, d in trials:
                 if (can_rev or not rev) and d < best_d:
                     best_d, best = d, (a, length, slot, rev)

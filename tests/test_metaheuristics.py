@@ -552,6 +552,29 @@ def test_hgs_starts_no_construction_that_would_end_past_the_deadline(monkeypatch
     assert best.cost == min(t.cost for t in built)
 
 
+def test_hgs_starts_no_child_that_would_end_past_the_deadline(monkeypatch):
+    # On a fake clock constructions and descents take no time and each
+    # child's mutation and repair 0.3 s; a 1 s budget leaves room for
+    # three children, not for a fourth.
+    now = [0.0]
+    clock = SimpleNamespace(perf_counter=lambda: now[0])
+    monkeypatch.setattr(metaheuristics, "time", clock)
+    monkeypatch.setattr(search, "time", clock)
+    bred = []
+
+    def slow_mutate(inst, tour):
+        now[0] += 0.3
+        bred.append(mutate_and_repair(inst, tour))
+        return bred[-1]
+
+    monkeypatch.setattr(metaheuristics, "mutate_and_repair", slow_mutate)
+    inst = euclid_instance(random.Random(108), 5)
+    stats = {}
+    hgs_run(inst, HgsParams(mu=3, lam=2, tmax=1.0), random.Random(5), stats)
+    assert len(bred) == stats["children"] == 3
+    assert now[0] <= 1.0
+
+
 def test_hgs_params_validation():
     with pytest.raises(ValueError):
         HgsParams()  # no stop rule

@@ -22,6 +22,7 @@ from helpers import (
     euclid_instance,
     float_instance,
     or_opt_full_pricing,
+    or_opt_range,
     random_feasible_tour,
 )
 
@@ -235,14 +236,56 @@ def test_scans_break_ties_like_their_references():
                     )
 
 
-def test_or_opt_identity_excluded_but_reversal_in_place_allowed():
+@pytest.mark.parametrize("floats", [False, True])
+def test_or_opt_never_returns_the_slot_it_left(floats):
+    # Slot a - 1 puts the segment back where it stood. A segment flipped
+    # in place on an or-opt optimum makes flipping it back a good move,
+    # which on float costs rounding could hand to that slot.
     rng = random.Random(41)
-    inst = euclid_instance(rng, 3)
-    tour = Tour.identity(inst)
-    mv = or_opt_scan(inst, tour, 2, 30)
-    # Whatever wins, re-inserting unreversed where it stood is not it.
-    a, length, t, rev = mv.indices
-    assert not (t == a - 1 and not rev)
+    for inst, tour in build_states(42, (3, 5, 12), floats=floats):
+        n2 = 2 * inst.n_pairs
+        optimum = tour.copy()
+        or_opt_descent(inst, optimum)
+        states = [tour, optimum]
+        for _ in range(8):
+            a = rng.randint(1, n2 - 1)
+            length = rng.randint(2, min(6, n2 - a + 1))
+            seq = optimum.seq[:]
+            seq[a : a + length] = seq[a + length - 1 : a - 1 : -1]
+            states.append(Tour(inst, seq))
+        for state in states:
+            if not state.is_feasible():
+                continue
+            for a in range(1, n2 + 1):
+                moves = [or_opt_scan(inst, state, a, 30)]
+                # The oracle realizes every candidate: small tours only.
+                if n2 < 20:
+                    moves.append(or_opt_oracle(inst, state, a, 30))
+                for mv in moves:
+                    assert mv.indices[2:3] != (a - 1,), (mv, state.seq)
+
+
+@pytest.mark.parametrize("mode", ["closed", "open"])
+def test_or_opt_reversal_in_place_repeats_a_shorter_candidate(mode):
+    # Reversed at slot a - 1, a segment of L visits gives the tour of
+    # its first L - 1 visits moved to slot a (reversed unless L = 2),
+    # and that slot is feasible for them whenever the reversal is.
+    rng = random.Random(43)
+    for n in (2, 4, 7):
+        inst = euclid_instance(rng, n, mode=mode)
+        for _ in range(6):
+            tour = random_feasible_tour(rng, inst)
+            for a in range(1, 2 * n + 1):
+                for length in range(2, 2 * n - a + 2):
+                    if not or_opt_range(inst, tour, a, length)[2]:
+                        continue
+                    lo, hi, can_rev = or_opt_range(inst, tour, a, length - 1)
+                    assert lo <= a <= hi and (can_rev or length == 2)
+                    flipped = tour.copy()
+                    apply_move(inst, flipped, MoveDelta("or-opt", (a, length, a - 1, True), 0))
+                    moved = tour.copy()
+                    apply_move(inst, moved, MoveDelta("or-opt", (a, length - 1, a, length > 2), 0))
+                    assert flipped.seq == moved.seq
 
 
 # ---------------------------------------------------------------------------

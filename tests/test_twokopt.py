@@ -141,3 +141,16 @@ def test_identity_when_tour_already_good():
     mv = two_k_opt_best(inst, tour)
     assert mv == MoveDelta("2k-opt", (), 0)
     assert two_k_opt_oracle(inst, tour) == mv
+
+
+def test_float_scan_lists_no_single_visit_flip():
+    # A 2-opt on (i, i + 2) flips one visit, so it changes nothing, yet
+    # its float gain can round below 0 and win a strict comparison.
+    rng = random.Random(54)
+    for k in range(300):
+        inst = float_instance(rng, 8, mode=("closed", "open")[k % 2], span=1000.0)
+        tour = random_feasible_tour(rng, inst)
+        mv = two_k_opt_best(inst, tour)
+        assert all(j > i + 2 for i, j in mv.indices), mv.indices
+        if mv.indices:
+            assert tour_cost(inst, mv.seq_after) == pytest.approx(tour.cost + mv.delta)
