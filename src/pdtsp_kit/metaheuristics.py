@@ -18,14 +18,16 @@ member's pair in O(1), and a leaving one sends back to a full sort only
 the rows whose pair it may have been part of. Ranking then reads two
 floats per member instead of sorting every row.
 
-A tour whose sequence equals a current member's, a twin, reuses what
-that member paid for. If the member's descent finished, no pair step
-improves the tour, so the twin's descent starts with every pair
-already stamped (``local_search(settled=True)``) and skips straight to
-its large phase, if drawn. An entering twin takes the member's edge set
-and distance row instead of one Jaccard distance per member. Both are
-exact: the descent's steps depend only on the tour, and the edge set
-only on the sequence.
+The run remembers its members' local optima, the exact form of
+Bentley's don't-look bits (1992): one map from each member's sequence
+to whether the large step is also known to be empty there, filled by
+every descent that finishes (``local_search(optima=...)``) and cleared
+of a sequence when the last member holding it leaves. A descent that
+starts at, or moves to, such a tour skips the steps already proved
+empty there. A tour whose sequence equals a current member's, a twin,
+takes the member's edge set and distance row instead of one Jaccard
+distance per member. Both are exact: the descent's steps depend only on
+the tour, and the edge set only on the sequence.
 """
 
 from __future__ import annotations
@@ -363,14 +365,11 @@ def biased_fitness(costs, contrib, mu_elite: int = 1) -> list:
 
 
 class _Member:
-    # ``settled``: the member's descent finished, so no pair step
-    # improves its tour.
-    __slots__ = ("tour", "edges", "settled")
+    __slots__ = ("tour", "edges")
 
-    def __init__(self, tour, edges, settled):
+    def __init__(self, tour, edges):
         self.tour = tour
         self.edges = edges
-        self.settled = settled
 
 
 def find_twin(pop, seq) -> int | None:
@@ -409,13 +408,11 @@ def hgs_run(
     pop: list[_Member] = []
     dist: list[list[float]] = []
     near: list[list[float]] = []
+    # Only members' sequences: at most mu + lam keys.
+    optima: dict[tuple, bool] = {}
 
     def educate_and_add(tour: Tour):
-        k = find_twin(pop, tour.seq)
-        settled = k is not None and pop[k].settled
-        local_search(inst, tour, sp, rng, deadline=deadline, settled=settled)
-        # A descent cut by the deadline returns only after it.
-        finished = deadline is None or time.perf_counter() < deadline
+        local_search(inst, tour, sp, rng, deadline=deadline, optima=optima)
         k = find_twin(pop, tour.seq)
         if k is None:
             e = edge_set(loc, tour.seq)
@@ -426,7 +423,7 @@ def hgs_run(
             e = pop[k].edges
             row = dist[k][:]
         join_neighbors(dist, near, row)
-        pop.append(_Member(tour, e, finished))
+        pop.append(_Member(tour, e))
 
     def ranks():
         costs = [m.tour.cost for m in pop]
@@ -441,8 +438,11 @@ def hgs_run(
             worst = max(
                 (i for i in range(len(pop)) if i not in keep), key=bf.__getitem__
             )
-            pop.pop(worst)
+            seq = pop.pop(worst).tour.seq
             leave_neighbors(dist, near, worst)
+            if find_twin(pop, seq) is None:
+                # Absent if no holder's descent finished.
+                optima.pop(tuple(seq), None)
 
     best = None
     ttb = 0.0

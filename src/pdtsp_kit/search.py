@@ -22,12 +22,16 @@ would find no improving move again; it is skipped. The shuffle still
 runs every round, so tours, costs and the random stream are exactly
 those of a descent that rescans everything.
 
-A caller that already knows no pair step improves the starting tour,
-because an earlier descent finished there, passes ``settled=True``. The
-descent then starts with every pair stamped at count 0, the state a
-first sweep of empty pair steps leaves behind, and the same argument
-makes it exact: the first round still draws the large phase and
-shuffles, and only pair steps that would find nothing are skipped.
+A caller that runs many descents, as HGS does, passes the same
+``optima`` map to each. It maps the sequence (``tuple(seq)``) at which
+an earlier descent finished to whether that descent ran the large
+phase. No pair step improves such a tour, and neither does the large
+step when the flag is set, since the steps depend only on the tour. So
+whenever the descent starts at, or moves to, a tour in the map, it
+stamps every pair, and the large phase if flagged, with the current
+count, and the same argument makes it exact. A descent records where
+it ended only if it finished before its deadline: a cut one may have
+stopped short of a local optimum.
 """
 
 from __future__ import annotations
@@ -63,6 +67,16 @@ def pair_step(inst: Instance, tour: Tour, x: int, k_or: int):
     return best
 
 
+def recall(optima: dict, tour: Tour, stamps: list) -> None:
+    """Stamps every pair, and the large phase (the last stamp) if its
+    flag is set, when ``tour`` is in ``optima``."""
+    large = optima.get(tuple(tour.seq))
+    if large is not None:
+        stamps[1:-1] = [stamps[0]] * (len(stamps) - 2)
+        if large:
+            stamps[-1] = stamps[0]
+
+
 def phase_one_sweep(
     inst: Instance,
     tour: Tour,
@@ -71,6 +85,7 @@ def phase_one_sweep(
     *,
     stamps: list,
     deadline: float | None = None,
+    optima: dict | None = None,
 ) -> bool:
     """One pass over ``order`` that applies each pair's best improving move.
 
@@ -79,7 +94,8 @@ def phase_one_sweep(
     whose stamp equals the count is skipped, and each applied move
     advances the count, so fresh stamps ``[0] + [-1] * n`` scan every
     pair. The pass stops before any pair step that would start after
-    ``deadline``.
+    ``deadline``. With ``optima``, ``stamps`` ends with the large
+    phase's stamp, and each applied move is followed by ``recall``.
     """
     improved = False
     for x in order:
@@ -92,6 +108,8 @@ def phase_one_sweep(
             improved = True
             apply_move(inst, tour, best)
             stamps[0] += 1
+            if optima is not None:
+                recall(optima, tour, stamps)
         else:
             stamps[x] = stamps[0]
     return improved
@@ -126,7 +144,7 @@ def local_search(
     use_large: bool | None = None,
     *,
     deadline: float | None = None,
-    settled: bool = False,
+    optima: dict | None = None,
 ) -> Tour:
     """Runs the tour to a local optimum in place and returns it.
 
@@ -135,33 +153,40 @@ def local_search(
     be short of a local optimum; it is still feasible and its cost is
     exact. Without one, no clock is read.
 
-    ``settled=True`` promises that no pair step improves ``tour``, as
-    after a descent that finished at this very sequence. The descent
-    then skips the pair steps of its first sweep and returns what a
-    plain descent would return, with the same random draws, since
-    ``pair_step`` depends only on the tour. The large phase runs as
-    usual when it is drawn.
+    ``optima`` (see the module docstring) lets the descent skip the
+    steps an earlier descent proved empty; it returns what a plain
+    descent would return, with the same random draws. If it finishes
+    before the deadline, it records its final sequence there, flagged
+    if it ran the large phase or the entry already was.
     """
     if use_large is None:
         use_large = rng.random() < params.p_large
     n = inst.n_pairs
     pairs = list(range(1, n + 1))
-    stamps = [0] + [0 if settled else -1] * n
-    large_stamp = -1
+    # The last stamp is the large phase's.
+    stamps = [0] + [-1] * (n + 1)
+    if optima is not None:
+        recall(optima, tour, stamps)
     improved = True
     while improved:
         if deadline is not None and time.perf_counter() >= deadline:
             break
         rng.shuffle(pairs)
         improved = phase_one_sweep(
-            inst, tour, pairs, params.k_or, stamps=stamps, deadline=deadline
+            inst, tour, pairs, params.k_or, stamps=stamps, deadline=deadline, optima=optima
         )
-        if use_large and large_stamp != stamps[0]:
+        if use_large and stamps[-1] != stamps[0]:
             if deadline is not None and time.perf_counter() >= deadline:
                 break
             if large_step(inst, tour, params.k_bs, deadline=deadline):
                 stamps[0] += 1
                 improved = True
+                if optima is not None:
+                    recall(optima, tour, stamps)
             else:
-                large_stamp = stamps[0]
+                stamps[-1] = stamps[0]
+    # A descent cut by the deadline returns only after it.
+    if optima is not None and (deadline is None or time.perf_counter() < deadline):
+        key = tuple(tour.seq)
+        optima[key] = use_large or optima.get(key, False)
     return tour

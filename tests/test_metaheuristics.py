@@ -3,6 +3,7 @@
 import math
 import random
 import time
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -422,70 +423,135 @@ def _twin_case(k):
     return inst, params
 
 
-def test_hgs_twins_follow_the_trajectory_without_them(monkeypatch):
-    # Twins skip a finished descent's pair steps and reuse a member's
-    # distances; a run whose twin lookup finds nothing must end the same.
-    found = {"twins": 0, "settled": 0}
+def _watch_optima(monkeypatch, search_wrapper):
+    """Patches hgs_run's ``find_twin``, and its ``local_search`` with
+    ``search_wrapper(real_search, optima, *args, **kwargs)``, so that
+    ``seen["optima"]`` and ``seen["pop"]`` are the run's map and
+    population (the same objects for the whole run)."""
+    seen = {"optima": None, "pop": None}
     real_find, real_search = metaheuristics.find_twin, metaheuristics.local_search
 
-    def counting_find(pop, seq):
-        k = real_find(pop, seq)
-        found["twins"] += k is not None
-        return k
+    def watching_find(pop, seq):
+        seen["pop"] = pop
+        return real_find(pop, seq)
 
-    def counting_search(*args, settled=False, **kwargs):
-        found["settled"] += settled
-        return real_search(*args, settled=settled, **kwargs)
+    def watching_search(*args, optima, **kwargs):
+        seen["optima"] = optima
+        return search_wrapper(real_search, optima, *args, **kwargs)
 
-    for k in range(40):
-        inst, params = _twin_case(k)
-        runs = []
-        for find in (counting_find, lambda pop, seq: None):
-            monkeypatch.setattr(metaheuristics, "find_twin", find)
-            monkeypatch.setattr(metaheuristics, "local_search", counting_search)
+    monkeypatch.setattr(metaheuristics, "find_twin", watching_find)
+    monkeypatch.setattr(metaheuristics, "local_search", watching_search)
+    return seen
+
+
+def _member_seqs(seen):
+    return {tuple(m.tour.seq) for m in seen["pop"] or ()}
+
+
+def test_hgs_optima_follow_the_trajectory_without_them(monkeypatch):
+    # The map of members' local optima skips pair steps and large steps
+    # that a finished descent proved empty, and twins reuse a member's
+    # edge set and distances. Runs whose descents never see the map, and
+    # runs that also find no twin, must end the same, with the same
+    # random state. With no deadline every member's descent finishes, so
+    # the map holds exactly the members' sequences whenever a descent
+    # starts, and at the end.
+    counts = Counter()
+    mode = ["map"]
+    real_pair, real_large = search.pair_step, search.large_step
+
+    def counting_pair(*args, **kwargs):
+        counts[mode[0], "pair"] += 1
+        return real_pair(*args, **kwargs)
+
+    def counting_large(*args, **kwargs):
+        counts[mode[0], "large"] += 1
+        return real_large(*args, **kwargs)
+
+    def descend(real_search, optima, *args, **kwargs):
+        if mode[0] != "map":
+            return real_search(*args, **kwargs)
+        assert set(optima) == _member_seqs(seen)
+        assert len(optima) <= params.mu + params.lam
+        return real_search(*args, optima=optima, **kwargs)
+
+    monkeypatch.setattr(search, "pair_step", counting_pair)
+    monkeypatch.setattr(search, "large_step", counting_large)
+    seen = _watch_optima(monkeypatch, descend)
+    watching_find = metaheuristics.find_twin
+
+    def find(pop, seq):
+        k = watching_find(pop, seq)
+        counts[mode[0], "twin"] += k is not None
+        return None if mode[0] == "neither" else k
+
+    monkeypatch.setattr(metaheuristics, "find_twin", find)
+    runs = {}
+    for mode[0] in ("map", "no map", "neither"):
+        for k in range(48):
+            inst, params = _twin_case(k)
+            seen["pop"] = None
             stats = {}
             rng = random.Random(k)
             best = hgs_run(inst, params, rng, stats)
             del stats["ttb"]  # wall time
-            runs.append((best.cost, best.seq, stats, rng.getstate()))
-            assert type(best.cost) is type(runs[0][0])
-        assert runs[0] == runs[1], k
-    assert found["twins"] > 0
-    assert found["settled"] > 0
+            runs[mode[0], k] = (best.cost, type(best.cost), best.seq, stats, rng.getstate())
+            if mode[0] == "map":
+                assert set(seen["optima"]) == _member_seqs(seen)
+    for k in range(48):
+        assert runs["map", k] == runs["no map", k] == runs["neither", k], k
+    assert counts["map", "pair"] < counts["no map", "pair"]
+    assert counts["map", "large"] < counts["no map", "large"]
+    assert counts["map", "twin"] > 0
 
 
 def test_descent_cut_by_the_deadline_never_settles_its_member(monkeypatch):
     # A fake clock passes the deadline at the start of every third
     # descent and goes back at the next twin lookup, so the run goes on
-    # with members whose descent was cut.
+    # with members whose descent was cut. A cut descent records nothing;
+    # one that finishes records its tour. The map holds only members'
+    # sequences, and every finished member's.
     now = [0.0]
     clock = SimpleNamespace(perf_counter=lambda: now[0])
     monkeypatch.setattr(metaheuristics, "time", clock)
     monkeypatch.setattr(search, "time", clock)
-    real_find, real_search = metaheuristics.find_twin, metaheuristics.local_search
-    cut, members = [], []
+    cut_known, finished = [], []
+    descents = [0]
+
+    def cutting_search(real_search, optima, inst, tour, *args, **kwargs):
+        assert set(optima) <= _member_seqs(seen)
+        done = {id(t) for t in finished}
+        for m in seen["pop"] or ():
+            assert id(m.tour) not in done or tuple(m.tour.seq) in optima
+        before = dict(optima)
+        descents[0] += 1
+        if descents[0] % 3 == 0:
+            now[0] = 2.0
+        real_search(inst, tour, *args, optima=optima, **kwargs)
+        if now[0] > 1.0:
+            cut_known.append(tuple(tour.seq) in before)
+            assert optima == before
+        else:
+            finished.append(tour)
+            assert tuple(tour.seq) in optima
+        return tour
+
+    real_find = metaheuristics.find_twin
+    seen = _watch_optima(monkeypatch, cutting_search)
 
     def rewinding_find(pop, seq):
         now[0] = 0.0
-        members.extend(m for m in pop if m not in members)
+        seen["pop"] = pop
         return real_find(pop, seq)
 
-    def cutting_search(inst, tour, *args, **kwargs):
-        if len(cut) * 3 <= len(members):
-            now[0] = 2.0
-            cut.append(tour)
-        return real_search(inst, tour, *args, **kwargs)
-
     monkeypatch.setattr(metaheuristics, "find_twin", rewinding_find)
-    monkeypatch.setattr(metaheuristics, "local_search", cutting_search)
-    inst = euclid_instance(random.Random(106), 5)
+    inst = euclid_instance(random.Random(106), 8)
     params = HgsParams(mu=3, lam=4, tmax=1.0, max_no_improve=40)
     best = hgs_run(inst, params, random.Random(3))
     assert best.is_feasible()
-    was_cut = [m for m in members if any(m.tour is t for t in cut)]
-    assert was_cut
-    assert not any(m.settled for m in was_cut)
-    assert any(m.settled for m in members)
+    # Some cut descents end at a tour the map does not hold.
+    assert cut_known.count(False) > 3 and len(finished) > 3
+    assert set(seen["optima"]) <= _member_seqs(seen)
 
 
 def test_hgs_time_budget_stops():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pdtsp_kit.neighborhoods import oropt, or_opt_scan, relocate_pair_best, two_opt_scan
-from pdtsp_kit.neighborhoods.oropt import edge_index
+from pdtsp_kit.neighborhoods.oropt import edge_index, edge_maxima
 from pdtsp_kit.neighborhoods.relocate import best_insertion
 from pdtsp_kit.neighborhoods.oracles import (
     best_insertion_naive,
@@ -423,6 +423,16 @@ def test_screen_index_belongs_to_the_tour(monkeypatch, mode):
             for tour, ref in zip(tours, alone):
                 assert or_opt_scan(inst, tour, a, 30) == ref[a - 1]
     assert len(builds) == 2
+
+
+@pytest.mark.parametrize("kind", [int, float])
+def test_edge_maxima_are_prefix_and_suffix_maxima(kind):
+    rng = random.Random(490)
+    for n in (0, 1, 2, 5, 40):
+        edge = [kind(rng.randint(0, 9)) for _ in range(n)]
+        pre, suf = edge_maxima(edge)
+        assert pre == [max(edge[:i], default=0) for i in range(n + 1)]
+        assert suf == [max(edge[i:], default=0) for i in range(n + 1)]
 
 
 costs = st.floats(0, 1e300, allow_nan=False, allow_infinity=False)

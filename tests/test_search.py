@@ -2,6 +2,7 @@
 
 import random
 import time
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -160,36 +161,77 @@ def test_stamped_descent_matches_full_rescan(monkeypatch, mode, build, use_large
     assert skipped > 0
 
 
+def _skipped_steps(plain_log, log):
+    # ``log`` must be ``plain_log`` with some steps left out, each of
+    # which found nothing; returns those left out.
+    it = iter(log)
+    nxt = next(it, None)
+    skipped = []
+    for entry in plain_log:
+        if entry == nxt:
+            nxt = next(it, None)
+        else:
+            assert not entry[2], entry
+            skipped.append(entry)
+    assert nxt is None
+    return skipped
+
+
 @pytest.mark.parametrize("mode", ["closed", "open"])
 @pytest.mark.parametrize("build", [euclid_instance, float_instance])
 @pytest.mark.parametrize("use_large", [None, False, True])
 def test_settled_descent_skips_only_empty_pair_steps(monkeypatch, mode, build, use_large):
-    # From the tour a finished descent left, ``settled=True`` may skip
-    # the pair steps of the first sweep and nothing else.
+    # A descent that starts at, or reaches, a tour in ``optima`` (one an
+    # earlier descent finished at) may skip the pair steps there, and the
+    # large step if flagged, and nothing else. It records its own end.
+    # Even seeds start at such a tour, odd ones at a random tour.
     params = SearchParams(p_large=0.5)
     log = _spy_steps(monkeypatch)
-    large_ran = 0
+    skipped = Counter()
     for seed in range(12):
-        inst = build(random.Random(950 + seed), 6 + seed % 3, mode=mode)
-        start = random_feasible_tour(random.Random(seed), inst)
-        local_search(inst, start, params, random.Random(seed), use_large=seed % 2 == 0)
+        inst = build(random.Random(950 + seed), 4 + seed % 3, mode=mode)
+        optima = {}
+        ends = []
+        for k in range(8):
+            tour = random_feasible_tour(random.Random(10 * seed + k), inst)
+            local_search(inst, tour, params, random.Random(k), k % 2 == 0, optima=optima)
+            ends.append(tour)
+        assert set(optima) == {tuple(t.seq) for t in ends}
+        if seed % 2:
+            start = random_feasible_tour(random.Random(100 + seed), inst)
+        else:
+            start = ends[seed % 8].copy()
         plain, rng_plain = start.copy(), random.Random(100 + seed)
-        local_search(inst, plain, params, rng_plain, use_large)
-        got, rng = start.copy(), random.Random(100 + seed)
         del log[:]
-        local_search(inst, got, params, rng, use_large, settled=True)
+        local_search(inst, plain, params, rng_plain, use_large)
+        plain_log = log[:]
+        got, rng = start.copy(), random.Random(100 + seed)
+        known = dict(optima)
+        del log[:]
+        local_search(inst, got, params, rng, use_large, optima=known)
         assert got.seq == plain.seq
         assert got.cost == plain.cost
+        assert type(got.cost) is type(plain.cost)
         assert rng.getstate() == rng_plain.getstate()
+        for step, _, _ in _skipped_steps(plain_log, log):
+            skipped[seed % 2, step == 0] += 1
         steps = [step for step, _, _ in log]
-        if 0 in steps:
-            large_ran += 1
-            assert steps.index(0) == 0
-        else:
-            assert steps == []
-            assert got.seq == start.seq
+        if seed % 2 == 0:
+            # From a mapped tour no pair step runs before a large step,
+            # and nothing runs if its flag says the large step is empty.
+            assert steps[:1] in ([], [0])
+            assert not (steps and optima[tuple(start.seq)])
+            if not steps:
+                assert got.seq == start.seq
+        key = tuple(got.seq)
+        assert set(known) == set(optima) | {key}
+        large_ran = any(step == 0 for step, _, _ in plain_log)
+        if use_large is not None:
+            assert known[key] == (use_large or optima.get(key, False))
+        assert known[key] >= large_ran
+    assert skipped[0, False] and skipped[1, False]
     if use_large is not False:
-        assert large_ran > 0
+        assert skipped[0, True] and skipped[1, True]
 
 
 def test_descent_stops_at_deadline():
