@@ -30,6 +30,7 @@ from .instance import (
     parse_solution,
     render_instance,
     render_solution,
+    valid_name,
 )
 from .metaheuristics import HgsParams, RrParams, greedy_construct, hgs_run, rr_run
 from .neighborhoods import SearchParams
@@ -66,11 +67,12 @@ def parse_seeds(text: str) -> list:
 
 
 def _checked(kind, ok, need: str):
-    """An argparse type: a ``kind`` number for which ``ok`` holds.
+    """An argparse type: a ``kind`` value for which ``ok`` holds.
 
-    The checks mirror ``SearchParams`` and ``RrParams``, and budgets
-    must be positive (a spent budget only returns the greedy tour), so
-    an out-of-range flag is a usage error before anything runs.
+    The checks mirror ``SearchParams``, ``RrParams`` and
+    ``parse_instance``, and budgets must be positive (a spent budget
+    only returns the greedy tour), so an out-of-range flag is a usage
+    error before anything runs or is written.
     """
 
     def parse(text: str):
@@ -87,6 +89,7 @@ def _checked(kind, ok, need: str):
 
 
 _AT_LEAST_ONE = _checked(int, lambda v: v >= 1, "at least 1")
+_NAME = _checked(str, valid_name, "a word without '#', ',', '/' or '\\'")
 
 
 def _read_input(path, parse):
@@ -374,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--mode", choices=MODES, default="closed")
     gen.add_argument("--rounding", choices=ROUNDINGS, default="nearest")
     gen.add_argument("--coords", default=None, help="file of 'x y' lines, depot first")
-    gen.add_argument("--name", default="gen")
+    gen.add_argument("--name", type=_NAME, default="gen")
     gen.add_argument("--out", required=True, help="output directory")
     gen.set_defaults(func=cmd_gen)
 

@@ -41,6 +41,14 @@ class FormatError(ValueError):
         self.line_no = line_no
 
 
+def valid_name(name: str) -> bool:
+    """Whether ``name`` can name an instance: one word of the instance
+    format without '#', which starts a comment there, and without ',',
+    '/' or '\\', since a name becomes part of file names and a CSV
+    field."""
+    return name.split() == [name] and not any(c in name for c in "#,/\\")
+
+
 def round_half_up(value: float) -> int:
     """Nearest integer, halves rounded up; ``math.floor`` returns an int."""
     return math.floor(value + 0.5)
@@ -269,7 +277,9 @@ def parse_instance(text: str) -> Instance:
             raise FormatError(line_no, f"expected '{key} <value>', got {' '.join(toks)!r}")
         header[key] = (toks[1], line_no)
 
-    name = header["NAME"][0]
+    name, name_line = header["NAME"]
+    if not valid_name(name):
+        raise FormatError(name_line, f"NAME may not hold ',', '/' or '\\', got {name!r}")
     try:
         n = int(header["PAIRS"][0])
     except ValueError:

@@ -153,15 +153,12 @@ def rr_run(
     params: RrParams,
     rng: random.Random,
     stats: dict | None = None,
-    trace: list | None = None,
 ) -> Tour:
     """Runs ruin-and-recreate and returns the best tour found.
 
     The starting temperature accepts a 5 percent degradation with
     probability one half and decays geometrically to a thousandth of
-    itself across the budget. When ``trace`` is given it records, per
-    iteration, the proposed sequence and the one held after the accept
-    decision.
+    itself across the budget.
     """
     t_start = time.perf_counter()
     w = inst.work_cost()
@@ -215,8 +212,6 @@ def rr_run(
             if cur.cost < best.cost:
                 best = cur.copy()
                 ttb = time.perf_counter() - t_start
-        if trace is not None:
-            trace.append((tuple(cand.seq), tuple(cur.seq)))
         it += 1
 
     if stats is not None:

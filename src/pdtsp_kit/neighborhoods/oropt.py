@@ -15,10 +15,10 @@ the segment holds a complete pair, whose order the flip would break.
 
 Slots are read straight from the tour. For a segment of length L,
 slot t is the tour edge t, (seq[t], seq[t+1]), when t < a-1, and the
-tour edge t+L when t >= a. The tour's edge costs are read from
-``tour.edge``, which ``apply_move`` keeps current, and the other costs
-a slot needs lie in the rows of the segment's head and tail, so the
-slot loops touch no other matrix row.
+tour edge t+L when t >= a. The tour's edge costs are read from the
+per-tour state below, and the other costs a slot needs lie in the rows
+of the segment's head and tail, so the slot loops touch no other
+matrix row.
 The reversed candidate's cost from a slot's left end u to the tail is
 read as w[tail][u], equal to w[u][tail] since costs are symmetric.
 Slot a-1, the bridge (seq[a-1], seq[a+L]) left by the removal, is
@@ -104,11 +104,19 @@ small-exact workload, 5-8 pairs, about 8% slower.
 Each visit's neighbor list holds the other visit ids in order of cost,
 as one compact ``array`` row. The lists, nu and nv depend only on the
 costs: they are built on the instance's first scan of a tour of 10
-pairs or more and kept in ``inst._screen``. The edge maxima and the edge
-index depend on the tour: the maxima are built on the tour's first such
-scan since its last change and the index on its first wide length,
-and both are kept in ``tour.screen``, which ``apply_move`` and
-``recost`` clear and ``Tour.copy`` shares.
+pairs or more and kept in ``inst._screen``.
+
+The per-tour state
+------------------
+What depends on the tour is kept in ``tour.scan_state``, which
+``apply_move`` and ``recost`` clear and ``Tour.copy`` shares. The first
+scan of a tour since its last change sets it to [edge, pre, suf, idx]:
+edge[t] is the cost of the tour edge (seq[t], seq[t+1]), pre and suf
+are its prefix and suffix maxima, and idx is the edge index. The
+maxima are built only on tours of 10 pairs or more, and the index on
+the tour's first wide length; both are None until then. No list is
+modified once built, and the index is filled in only for the sequence
+the copies share, so copies may share the state.
 """
 
 from __future__ import annotations
@@ -185,21 +193,22 @@ def or_opt_scan(inst: Instance, tour: Tour, a: int, k_or: int) -> MoveDelta:
     head = seq[a]
     wp = w[prev]
     wh = w[head]
-    edge = tour.edge
     # The length bound and the screen engage on the same tours: those
     # whose widest length, 2n - 2 slots, is wide.
     bound = n2 - 2 > SCREEN_WIDTH
+    state = tour.scan_state
+    if state is None:
+        edge = [w[u][v] for u, v in zip(seq, seq[1:])]
+        pre, suf = edge_maxima(edge) if bound else (None, None)
+        state = tour.scan_state = [edge, pre, suf, None]
+    edge, pre, suf, idx = state
     if bound:
         screen = inst._screen
         if screen is None:
             term = inst.end if inst.mode == OPEN else -1
             screen = inst._screen = neighbor_lists(w, term)
         near, nu, nv = screen
-        state = tour.screen
-        if state is None:
-            state = tour.screen = [*edge_maxima(edge), None]
-        pre_left = state[0][a - 1]
-        suf = state[1]
+        pre_left = pre[a - 1]
         nu_h = nu[head]
         nv_h = nv[head]
 
@@ -245,9 +254,8 @@ def or_opt_scan(inst: Instance, tour: Tour, a: int, k_or: int) -> MoveDelta:
                 hi = a - 1
 
         if hi - first > SCREEN_WIDTH:
-            idx = state[2]
             if idx is None:
-                idx = state[2] = edge_index(near, w, seq, edge)
+                idx = state[3] = edge_index(near, w, seq, edge)
             if gain >= 0:
                 r = wt[nxt]
                 cand = idx[tail][:]

@@ -43,13 +43,18 @@ class MoveDelta:
         return self.delta < -eps
 
 
-def _edge_costs(inst: Instance, seq) -> list:
-    w = inst.work_cost()
-    return [w[u][v] for u, v in zip(seq, seq[1:])]
-
-
 def tour_cost(inst: Instance, seq) -> float:
-    return sum(_edge_costs(inst, seq))
+    """The cost of ``seq``, its edges added left to right.
+
+    A plain loop rather than ``sum``: from Python 3.12 on, ``sum`` adds
+    floats with compensation, which would make float costs, and so the
+    tours that ties between them decide, depend on the Python version.
+    """
+    w = inst.work_cost()
+    cost = 0
+    for u, v in zip(seq, seq[1:]):
+        cost += w[u][v]
+    return cost
 
 
 def check_precedence(inst: Instance, seq) -> list:
@@ -70,19 +75,13 @@ class Tour:
     procedures can hold violating tours. Structural validity (a
     permutation bracketed by depot and terminal) is always enforced.
 
-    ``edge`` is derived state: ``edge[t]`` is the cost of the tour edge
-    (seq[t], seq[t+1]). ``recost`` builds it and only ``apply_move``
-    advances it. Both assign a new list, so copies share it safely.
-    ``screen`` is or-opt's state for the current sequence, or None: the
-    prefix and suffix maxima of ``edge`` and the edge index, which
-    ``or_opt_scan`` builds on its first scan of a tour of 10 pairs or
-    more, the index only once a length is wide. ``recost`` and
-    ``apply_move`` clear it where they assign ``edge``. Copies share it
-    too: the maxima and the index are never modified, and the index is
-    filled in only for the sequence the copies share.
+    ``scan_state`` is None, or what a scan derived from the current
+    sequence and left for its next call. ``apply_move`` and ``recost``
+    clear it, and ``copy`` shares it, so a scan must fill it in only
+    for the sequence the copies share and never modify what it holds.
     """
 
-    __slots__ = ("inst", "seq", "pos", "cost", "edge", "screen")
+    __slots__ = ("inst", "seq", "pos", "cost", "scan_state")
 
     def __init__(self, inst: Instance, seq):
         self.inst = inst
@@ -94,15 +93,14 @@ class Tour:
             raise ValueError("tour must start at the depot and end at the terminal")
         if sorted(self.seq[1:nv]) != list(range(1, nv)):
             raise ValueError("tour must visit every customer exactly once")
-        self.pos = [0] * (nv + 1)
         self._reindex()
         self.recost()
 
     def _reindex(self):
-        for t in range(len(self.seq) - 1):
-            self.pos[self.seq[t]] = t
-        self.pos[self.seq[-1]] = len(self.seq) - 1
-        self.pos[0] = 0
+        pos = self.pos = [0] * len(self.seq)
+        for t, v in enumerate(self.seq):
+            pos[v] = t
+        pos[0] = 0  # a closed tour's last slot holds the depot too
 
     @classmethod
     def from_visits(cls, inst: Instance, visits) -> "Tour":
@@ -131,8 +129,7 @@ class Tour:
         dup.seq = list(self.seq)
         dup.pos = list(self.pos)
         dup.cost = self.cost
-        dup.edge = self.edge
-        dup.screen = self.screen
+        dup.scan_state = self.scan_state
         return dup
 
     def violations(self) -> list:
@@ -142,9 +139,8 @@ class Tour:
         return not self.violations()
 
     def recost(self) -> float:
-        self.edge = _edge_costs(self.inst, self.seq)
-        self.screen = None
-        self.cost = sum(self.edge)
+        self.scan_state = None
+        self.cost = tour_cost(self.inst, self.seq)
         return self.cost
 
     def __repr__(self):
@@ -182,8 +178,8 @@ def four_opt_splice(seq, kind: str, cuts) -> list:
 
 
 def apply_move(inst: Instance, tour: Tour, move: MoveDelta) -> None:
-    """Applies a MoveDelta in place, updating sequence, positions, edge
-    costs and cost, and clearing or-opt's per-tour state.
+    """Applies a MoveDelta in place, updating sequence, positions and
+    cost, and clearing the scan state.
 
     Moves are trusted as the scans build them: a relocation names its
     pair's pickup in a precedence-feasible tour, and the cached cost is
@@ -197,8 +193,7 @@ def apply_move(inst: Instance, tour: Tour, move: MoveDelta) -> None:
 
     if kind == "2opt":
         i, j = move.indices
-        if j > i + 2:
-            seq[i + 1 : j] = seq[j - 1 : i : -1]
+        seq[i + 1 : j] = seq[j - 1 : i : -1]
     elif kind == "relocate-pair":
         x, ip, jp = move.indices
         nx = x + inst.n_pairs
@@ -213,13 +208,12 @@ def apply_move(inst: Instance, tour: Tour, move: MoveDelta) -> None:
         del seq[a : a + L]
         seq[t + 1 : t + 1] = chunk
     elif kind in ("2k-opt", "bs"):
-        tour.seq = seq = list(move.seq_after)
+        tour.seq = list(move.seq_after)
     elif kind in _FOUR_OPT_BLOCKS:
-        tour.seq = seq = four_opt_splice(seq, kind, move.indices)
+        tour.seq = four_opt_splice(seq, kind, move.indices)
     else:
         raise ValueError(f"unknown move kind {kind!r}")
 
     tour._reindex()
-    tour.edge = _edge_costs(inst, seq)
-    tour.screen = None
+    tour.scan_state = None
     tour.cost += move.delta

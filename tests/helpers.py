@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 from pdtsp_kit.instance import Instance, generate_pairs
+from pdtsp_kit.neighborhoods.oracles import best_insertion_naive
+from pdtsp_kit.neighborhoods.relocate import best_insertion
 from pdtsp_kit.tour import Tour
 
 
@@ -93,7 +95,7 @@ def or_opt_full_pricing(inst: Instance, tour: Tour, a: int, k_or: int):
     The reference for the scan's gain screen: the same floats, so equal
     results are required even where rounding decides.
     """
-    seq, edge = tour.seq, tour.edge
+    seq = tour.seq
     w = inst.work_cost()
     best_d, best = -inst.eps, ()
     for length in range(1, min(k_or, 2 * inst.n_pairs - a + 1) + 1):
@@ -107,10 +109,40 @@ def or_opt_full_pricing(inst: Instance, tour: Tour, a: int, k_or: int):
             e = slot if slot < a - 1 else slot + length
             u, v = seq[e], seq[e + 1]
             trials = [
-                (False, d_rem + w[h][u] + w[t][v] - edge[e]),
-                (True, d_rem + w[t][u] + w[h][v] - edge[e]),
+                (False, d_rem + w[h][u] + w[t][v] - w[u][v]),
+                (True, d_rem + w[t][u] + w[h][v] - w[u][v]),
             ]
             for rev, d in trials:
                 if (can_rev or not rev) and d < best_d:
                     best_d, best = d, (a, length, slot, rev)
     return best, best_d if best else 0
+
+
+def or_opt_state(inst: Instance, seq, state) -> list:
+    """Or-opt's per-tour state for ``seq`` built from scratch: [edge,
+    pre, suf, idx], each part left None where ``state`` has it None."""
+    w = inst.work_cost()
+    edge = [w[u][v] for u, v in zip(seq, seq[1:])]
+    ranges = range(len(edge) + 1)
+    pre = [max(edge[:i], default=0) for i in ranges]
+    suf = [max(edge[i:], default=0) for i in ranges]
+    idx = [
+        [e for e, c in enumerate(edge) if seq[e + 1] != x and w[seq[e + 1]][x] < c]
+        for x in range(len(w))
+    ]
+    fresh = (edge, pre, suf, idx)
+    return [part if built is not None else None for part, built in zip(fresh, state)]
+
+
+def checked_insertion(calls: list):
+    """A stand-in for ``best_insertion`` that also runs
+    ``best_insertion_naive``, asserts that both give the same (delta,
+    ip, jp), and appends each call's pair to ``calls``."""
+
+    def both(w, rho, x, nx):
+        got = best_insertion(w, rho, x, nx)
+        assert got == best_insertion_naive(w, rho, x, nx), (rho, x)
+        calls.append(x)
+        return got
+
+    return both

@@ -152,6 +152,46 @@ def test_out_of_range_gen_flags_are_usage_errors(capsys, tmp_path, flags, messag
     assert not out_dir.exists()
 
 
+def files_under(path):
+    return sorted(p for p in path.rglob("*") if p.is_file())
+
+
+@pytest.mark.parametrize("name", ["../esc,aped", "sub/x"])
+def test_instance_name_that_steers_paths_or_fields_is_refused(capsys, tmp_path, name):
+    # A name is part of each solution file's name and a CSV field.
+    path = gen_instances(capsys, tmp_path, count=1)[0]
+    lines = path.read_text().splitlines()
+    lines[0] = f"NAME {name}"
+    path.write_text("\n".join(lines) + "\n")
+    out_dir = tmp_path / "out" / "sols"
+    code, out, err = run_cli(
+        capsys, ["solve", str(path), "--method", "ls-only", "--out", str(out_dir)]
+    )
+    assert code == 2
+    assert out == []
+    assert err.splitlines() == [
+        f"pdtsp: {path}: line 1: NAME may not hold ',', '/' or '\\', got {name!r}"
+    ]
+    assert files_under(tmp_path) == [path]
+
+
+# Besides what parse_instance refuses: names it would not read back.
+@pytest.mark.parametrize("name", ["a/b", "a,b", "a\\b", "a b", "", "a#b"])
+def test_gen_name_that_steers_paths_or_fields_is_a_usage_error(capsys, tmp_path, name):
+    with pytest.raises(SystemExit) as err:
+        main(["gen", "--name", name, "--out", str(tmp_path / "inst")])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    # argparse's usage lines, then the error on one line.
+    assert captured.err.splitlines()[-1] == (
+        "pdtsp gen: error: argument --name: must be a word without"
+        f" '#', ',', '/' or '\\', got {name!r}"
+    )
+    assert "Traceback" not in captured.err
+    assert files_under(tmp_path) == []
+
+
 def test_malformed_instance_reported_on_one_line(capsys, tmp_path):
     path = gen_instances(capsys, tmp_path, count=1)[0]
     lines = path.read_text().splitlines()

@@ -159,6 +159,15 @@ def test_parse_relabels_arbitrary_pairing():
     assert inst.cost[0][2] == 60
 
 
+@pytest.mark.parametrize("name", ["../esc,aped", "sub/x", "a\\b", "a,b"])
+def test_names_that_steer_paths_or_csv_fields_are_refused(name):
+    lines = render_instance(euclid_instance(random.Random(1), 2)).splitlines()
+    lines[0] = f"NAME {name}"
+    with pytest.raises(FormatError, match="may not hold") as err:
+        parse_instance("\n".join(lines))
+    assert err.value.line_no == 1
+
+
 def test_parse_error_line_numbers():
     good = render_instance(euclid_instance(random.Random(1), 2))
     lines = good.splitlines()

@@ -31,11 +31,15 @@ from pdtsp_kit.metaheuristics import (
     rr_run,
 )
 from pdtsp_kit.neighborhoods import SearchParams
-from pdtsp_kit.neighborhoods.oracles import best_insertion_naive
 from pdtsp_kit.neighborhoods.relocate import best_insertion, removal_delta
 from pdtsp_kit.oracle import brute_force_optimal
 from pdtsp_kit.tour import Tour, tour_cost
-from helpers import euclid_instance, float_instance, random_feasible_tour
+from helpers import (
+    checked_insertion,
+    euclid_instance,
+    float_instance,
+    random_feasible_tour,
+)
 
 
 class ScriptRng:
@@ -141,33 +145,44 @@ def test_rr_zero_iters_returns_construction():
     assert stats["iters"] == 0
 
 
-def test_rr_one_iteration_without_time_budget():
+def test_rr_one_iteration_without_time_budget(monkeypatch):
     # One iteration has no schedule to decay along, so it runs at the
     # starting temperature and keeps the better of start and candidate.
     inst = euclid_instance(random.Random(98), 6)
     start = greedy_construct(inst, random.Random(4))
+    built = []
+
+    def recorded(inst, seq):
+        built.append(Tour(inst, seq))
+        return built[-1]
+
+    monkeypatch.setattr(metaheuristics, "Tour", recorded)
     stats = {}
-    trace = []
-    best = rr_run(inst, RrParams(iters=1), random.Random(4), stats, trace)
+    best = rr_run(inst, RrParams(iters=1), random.Random(4), stats)
     assert stats["iters"] == 1
-    assert len(trace) == 1
-    cand = Tour(inst, list(trace[0][0]))
+    # The greedy start, then the one candidate.
+    assert len(built) == 2
+    assert built[0].seq == start.seq
+    cand = built[1]
     assert best.cost == min(start.cost, cand.cost)
     assert best.is_feasible()
     assert best.cost == tour_cost(inst, best.seq)
 
 
 def test_rr_evaluators_walk_identically(monkeypatch):
+    # Both evaluators price every insertion of the run, the greedy
+    # start's included, and must agree on each, and checking them must
+    # not change the run.
     inst = euclid_instance(random.Random(96), 6)
-    traces = []
+    calls = []
     finals = []
-    for evaluator in (best_insertion, best_insertion_naive):
+    for evaluator in (checked_insertion(calls), best_insertion):
         monkeypatch.setattr("pdtsp_kit.metaheuristics.best_insertion", evaluator)
-        trace = []
-        best = rr_run(inst, RrParams(iters=80), random.Random(17), trace=trace)
-        traces.append(trace)
-        finals.append(best.seq)
-    assert traces[0] == traces[1]
+        stats = {}
+        best = rr_run(inst, RrParams(iters=80), random.Random(17), stats)
+        assert stats["iters"] == 80
+        finals.append((best.cost, best.seq))
+    assert len(calls) > 80
     assert finals[0] == finals[1]
 
 

@@ -4,15 +4,15 @@ Random feasible tours, integer and float costs, open and closed, take
 the move of each scan in turn. Every result must be the empty move or
 improve by more than ``inst.eps`` and realize its delta. After every
 move the tour must stay a feasible permutation bracketed by the depot
-and the terminal, with positions, edge costs and cost in step with its
-sequence. ``four_opt_type1_any`` ignores precedence, so its move is
-realized on the bare sequence and applied only when that stays
-feasible.
+and the terminal, with positions and cost in step with its sequence.
+``four_opt_type1_any`` ignores precedence, so its move is realized on
+the bare sequence and applied only when that stays feasible.
 
-Tours of 10 pairs or more reach or-opt's gain screen, whose per-tour
-index must follow every move and every copy: after each step, or-opt
-at the step's anchor must give the full loop's result on the tour and
-on the copy it was last split from.
+Or-opt's per-tour state must follow every move and every copy: after
+each step, or-opt at the step's anchor must give the full loop's
+result on the tour and on the copy it was last split from, and each
+one's state must be absent or equal to a fresh build for its sequence.
+Tours of 10 pairs or more reach the gain screen and its edge index.
 """
 
 import random
@@ -33,6 +33,7 @@ from helpers import (
     euclid_instance,
     float_instance,
     or_opt_full_pricing,
+    or_opt_state,
     random_feasible_tour,
 )
 
@@ -57,7 +58,8 @@ def check_invariants(inst, tour):
     assert all(tour.pos[v] == t for t, v in enumerate(seq[:-1]))
     assert seq[tour.pos[inst.end]] == inst.end  # a closed tour's depot sits at 0
     assert not check_precedence(inst, seq)
-    assert tour.edge == [tour_cost(inst, seq[t : t + 2]) for t in range(nv)]
+    state = tour.scan_state
+    assert state is None or state == or_opt_state(inst, seq, state)
     check_cost(inst, tour.cost, tour_cost(inst, seq))
 
 
@@ -95,6 +97,8 @@ def test_scan_moves_keep_tour_invariants(seed, n, integral, mode, steps):
     for name, anchor in steps:
         check_or_opt(inst, tour, anchor)
         check_or_opt(inst, twin, anchor)
+        check_invariants(inst, tour)
+        check_invariants(inst, twin)
         if name == "copy":
             twin, tour = tour, tour.copy()
             continue
@@ -114,3 +118,5 @@ def test_scan_moves_keep_tour_invariants(seed, n, integral, mode, steps):
         check_invariants(inst, tour)
     check_or_opt(inst, tour, 0)
     check_or_opt(inst, twin, 0)
+    check_invariants(inst, tour)
+    check_invariants(inst, twin)

@@ -480,12 +480,14 @@ def or_opt_descent(inst, tour, k_or=30):
 
 
 def pass_edge_reads(inst, tour):
-    """Moves and tour-edge reads of one or-opt pass over every anchor.
-    Only slot pricing reads ``tour.edge`` by item, so the reads count
-    the slots priced."""
-    tour.edge = CountingList(tour.edge)
+    """Moves and edge-cost reads of one or-opt pass over every anchor.
+    Only slot pricing reads or-opt's edge list by item, so the reads
+    count the slots priced."""
+    or_opt_scan(inst, tour, 1, 30)  # builds the state if the tour has none
+    edge, *rest = tour.scan_state
+    tour.scan_state = [CountingList(edge), *rest]
     moves = [or_opt_scan(inst, tour, a, 30) for a in range(1, 2 * inst.n_pairs + 1)]
-    return moves, tour.edge.reads
+    return moves, tour.scan_state[0].reads
 
 
 @pytest.mark.parametrize("mode", ["closed", "open"])
@@ -513,7 +515,9 @@ def test_length_bound_never_runs_below_ten_pairs(n):
         inst = euclid_instance(rng, n, mode=mode)
         tour = random_feasible_tour(rng, inst)
         or_opt_descent(inst, tour)
-        assert tour.screen is None and inst._screen is None
+        # The last pass built the edge costs, but no maxima and no index.
+        assert tour.scan_state[1:] == [None, None, None]
+        assert inst._screen is None
 
 
 def test_length_bound_keeps_the_zero_cost_edge_into_the_terminal():

@@ -1,9 +1,14 @@
 """Tour structure, feasibility and move application."""
 
+import copy
+import functools
+import operator
 import random
 
 import pytest
 
+from pdtsp_kit.instance import Instance
+from pdtsp_kit.neighborhoods import or_opt_scan
 from pdtsp_kit.tour import MoveDelta, Tour, apply_move, check_precedence, tour_cost
 from helpers import euclid_instance, random_feasible_tour
 
@@ -158,6 +163,17 @@ def test_apply_rejects_empty_and_unknown():
         apply_move(inst, t, MoveDelta("warp", (1,), 0))
 
 
+def test_costs_add_edges_left_to_right():
+    # From Python 3.12 on, ``sum`` adds floats with compensation and
+    # gives 1e16 + 2 here; a left-to-right sum rounds each + 1 away.
+    inst = Instance(1, [[0, 1e16, 1.0], [1e16, 0, 1.0], [1.0, 1.0, 0]], name="big")
+    seq = [0, 1, 2, 0]
+    edges = [1e16, 1.0, 1.0]
+    want = functools.reduce(operator.add, edges, 0)
+    assert tour_cost(inst, seq) == want
+    assert Tour(inst, seq).cost == want
+
+
 def test_copy_independent():
     rng = random.Random(13)
     inst = euclid_instance(rng, 3)
@@ -174,10 +190,22 @@ def _edges(inst, seq):
 
 @pytest.mark.parametrize("mode", ["closed", "open"])
 def test_edge_costs_follow_every_move_kind(mode):
+    # Every move and ``recost`` clear the scan state, a move on a copy
+    # leaves the original's state alone, and or-opt's next scan builds
+    # the edge costs of the sequence it sees.
     rng = random.Random(14)
     inst = euclid_instance(rng, 4, mode=mode)
     t = random_feasible_tour(rng, inst)
-    assert t.edge == _edges(inst, t.seq)
+    assert t.scan_state is None
+
+    def edges_after_scan(tour):
+        # With k_or = 0 the scan prices nothing and only builds its
+        # state, so the tour need not be feasible, and the shuffled
+        # and 4-opt steps below leave it infeasible.
+        or_opt_scan(inst, tour, 1, 0)
+        return tour.scan_state[0]
+
+    assert edges_after_scan(t) == _edges(inst, t.seq)
 
     def shuffled():
         inner = t.seq[1:-1]
@@ -202,19 +230,22 @@ def test_edge_costs_follow_every_move_kind(mode):
     ]
     for kind, indices, after in moves:
         seq_after = after() if after else None
-        # A copy takes the move first; the original's edges stay put.
+        # A copy takes the move first; the original's state stays put.
         probe = t.copy()
-        assert probe.edge == t.edge
-        before = list(t.edge)
+        state = t.scan_state
+        assert probe.scan_state is state
+        before = copy.deepcopy(state)
         apply_move(inst, probe, MoveDelta(kind, indices, 0, seq_after))
-        assert t.edge == before
-        assert probe.edge == _edges(inst, probe.seq)
+        assert probe.scan_state is None
+        assert t.scan_state is state and state == before
         delta = tour_cost(inst, probe.seq) - t.cost
         apply_move(inst, t, MoveDelta(kind, indices, delta, seq_after))
         assert t.seq == probe.seq
-        assert t.edge == _edges(inst, t.seq), kind
-        assert t.cost == tour_cost(inst, t.seq) == sum(t.edge)
+        assert t.scan_state is None, kind
+        edge = edges_after_scan(t)
+        assert edge == _edges(inst, t.seq), kind
+        assert t.cost == tour_cost(inst, t.seq) == sum(edge)
 
     t.seq[1:-1] = t.seq[-2:0:-1]
     assert t.recost() == tour_cost(inst, t.seq)
-    assert t.edge == _edges(inst, t.seq)
+    assert t.scan_state is None
