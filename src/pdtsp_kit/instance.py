@@ -148,6 +148,9 @@ class Instance:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.rounding not in ROUNDINGS:
             raise ValueError(f"unknown rounding {self.rounding!r}")
+        if not isinstance(self.name, str) or not valid_name(self.name):
+            # render_instance must write a NAME that parse_instance accepts.
+            raise ValueError("name must be one word without '#', ',', '/' or '\\'")
         n = self.n_visits
         cost = self.cost
         if len(cost) != n or set(map(len, cost)) != {n}:

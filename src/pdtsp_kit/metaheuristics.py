@@ -49,14 +49,18 @@ class RrParams:
     """Ruin-and-recreate budget.
 
     ``iters`` gives a deterministic run; ``tmax`` (seconds) may cap or
-    replace it.
+    replace it. ``tmax`` must be a nonnegative number, not NaN, and
+    ``math.inf`` is no time budget, so it cannot replace ``iters``.
     """
 
     iters: int | None = 10000
     tmax: float | None = None
 
     def __post_init__(self):
-        if self.iters is None and self.tmax is None:
+        # A NaN deadline would never pass: NaN fails every comparison.
+        if self.tmax is not None and not self.tmax >= 0:
+            raise ValueError("tmax must be a nonnegative number")
+        if self.iters is None and self.tmax in (None, math.inf):
             raise ValueError("need an iteration or time budget")
         if self.iters is not None and self.iters < 0:
             raise ValueError("iters must be nonnegative")
@@ -64,7 +68,11 @@ class RrParams:
 
 @dataclass
 class HgsParams:
-    """Population sizes, stop rules and embedded search settings."""
+    """Population sizes, stop rules and embedded search settings.
+
+    ``tmax`` (seconds) must be a nonnegative number, not NaN, and
+    ``math.inf`` is no time budget, so it needs ``max_no_improve``.
+    """
 
     mu: int = 25
     lam: int = 40
@@ -82,7 +90,9 @@ class HgsParams:
             raise ValueError("lam must be at least 1")
         if not 0 <= self.mu_elite <= self.mu:
             raise ValueError("mu_elite must lie in [0, mu]")
-        if self.tmax is None and self.max_no_improve is None:
+        if self.tmax is not None and not self.tmax >= 0:
+            raise ValueError("tmax must be a nonnegative number")
+        if self.tmax in (None, math.inf) and self.max_no_improve is None:
             raise ValueError("need a time budget or a no-improvement cutoff")
 
 
@@ -397,7 +407,7 @@ def hgs_run(
     took as long as the previous child's.
     """
     t_start = time.perf_counter()
-    deadline = None if params.tmax is None else t_start + params.tmax
+    deadline = math.inf if params.tmax is None else t_start + params.tmax
     sp = params.search
     loc = location_ids(inst)
     pop: list[_Member] = []
@@ -451,7 +461,7 @@ def hgs_run(
             ttb = time.perf_counter() - t_start
         # A construction reads no clock, so none starts that would end
         # past the deadline if it took as long as the last one.
-        if deadline is not None and time.perf_counter() + build_s >= deadline:
+        if time.perf_counter() + build_s >= deadline:
             break
 
     children = 0
@@ -462,7 +472,7 @@ def hgs_run(
     while len(pop) >= params.mu:
         # Breeding reads no clock either, so the construction rule
         # holds for children too.
-        if deadline is not None and time.perf_counter() + breed_s >= deadline:
+        if time.perf_counter() + breed_s >= deadline:
             break
         if params.max_no_improve is not None and no_improve >= params.max_no_improve:
             break
@@ -473,12 +483,11 @@ def hgs_run(
             j = rng.randrange(len(pop))
             return i if bf[i] <= bf[j] else j
 
-        t_breed = None if deadline is None else time.perf_counter()
+        t_breed = time.perf_counter()
         p1 = pop[pick()].tour
         p2 = pop[pick()].tour
         child = mutate_and_repair(inst, lox_crossover(p1, p2, rng))
-        if t_breed is not None:
-            breed_s = time.perf_counter() - t_breed
+        breed_s = time.perf_counter() - t_breed
         educate_and_add(child)
         children += 1
         if child.cost < best.cost:

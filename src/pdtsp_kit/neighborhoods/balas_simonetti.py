@@ -23,32 +23,30 @@ from the cheapest last state reads off the reordering.
 from __future__ import annotations
 
 from ..instance import Instance
-from ..tour import MoveDelta, Tour, tour_cost
+from ..tour import MoveDelta, Tour
 
 
 def bs_optimize(inst: Instance, seq, k: int):
     """Shortest path through the window-k reordering graph of ``seq``.
 
-    Returns (best_seq, best_cost, stats) where stats reports the widest
-    layer, both as raw node count and as count of distinct (m, mask)
-    placement shapes. k = 1 fixes every position, returning the input.
+    Returns (best_seq, best_cost, layers), where ``layers`` is the list
+    of layers the backtrack reads, the start layer first. A path cost
+    starts at 0 and adds its edge costs left to right. k = 1 fixes every
+    position: each layer holds one state, and the cost is the input's,
+    added as ``tour_cost`` adds it.
     """
     if not 1 <= k <= 12:
         raise ValueError("k must be between 1 and 12")
     n = inst.n_pairs
     w = inst.work_cost()
     last = len(seq) - 1  # terminal slot; positions 1..last-1 get reordered
-    stats = {"max_nodes": 1, "max_set_pairs": 1}
-    if k == 1 or last <= 2:
-        return list(seq), tour_cost(inst, seq), stats
-
     pos_of = [0] * (2 * n + 2)
     for t, v in enumerate(seq[:-1]):
         pos_of[v] = t
 
     # State: (r, m, mask); one dict of entries per layer.
     start = (0, 1, 0)
-    layer = {start: (0 if inst.integral else 0.0, None)}
+    layer = {start: (0, None)}
     layers = [layer]
     for t in range(1, last):
         nxt = {}
@@ -84,11 +82,6 @@ def bs_optimize(inst: Instance, seq, k: int):
                     nxt[nstate] = (ncost, state)
         layer = nxt
         layers.append(layer)
-        if len(layer) > stats["max_nodes"]:
-            stats["max_nodes"] = len(layer)
-        shapes = len({(m, mask) for (_, m, mask) in layer})
-        if shapes > stats["max_set_pairs"]:
-            stats["max_set_pairs"] = shapes
 
     end_visit = seq[last]
     best_state = None
@@ -106,7 +99,7 @@ def bs_optimize(inst: Instance, seq, k: int):
         state = layers[t][state][1]
     order.reverse()
     best_seq = [seq[0]] + [seq[q] for q in order] + [seq[last]]
-    return best_seq, best_cost, stats
+    return best_seq, best_cost, layers
 
 
 def bs_best(inst: Instance, tour: Tour, k: int) -> MoveDelta:

@@ -31,7 +31,7 @@ def two_opt_scan(inst: Instance, tour: Tour, i: int) -> MoveDelta:
     best_d = -inst.eps
     best_j = 0
     wi = w[seq[i]]
-    ci = w[seq[i]][seq[i + 1]] if i + 1 <= top else 0
+    ci = wi[seq[i + 1]]
     for j in range(i + 3, top + 1):
         v = seq[j - 1]
         if v > n and pos[v - n] > i:

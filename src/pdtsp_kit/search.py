@@ -36,6 +36,7 @@ stopped short of a local optimum.
 
 from __future__ import annotations
 
+import math
 import random
 import time
 
@@ -49,7 +50,7 @@ from .neighborhoods import (
     two_k_opt_best,
     two_opt_scan,
 )
-from .tour import Tour, apply_move
+from .tour import MoveDelta, Tour, apply_move
 
 
 def pair_step(inst: Instance, tour: Tour, x: int, k_or: int):
@@ -84,7 +85,7 @@ def phase_one_sweep(
     k_or: int,
     *,
     stamps: list,
-    deadline: float | None = None,
+    deadline: float = math.inf,
     optima: dict | None = None,
 ) -> bool:
     """One pass over ``order`` that applies each pair's best improving move.
@@ -101,7 +102,7 @@ def phase_one_sweep(
     for x in order:
         if stamps[x] == stamps[0]:
             continue
-        if deadline is not None and time.perf_counter() >= deadline:
+        if time.perf_counter() >= deadline:
             break
         best = pair_step(inst, tour, x, k_or)
         if best.indices:
@@ -116,21 +117,22 @@ def phase_one_sweep(
 
 
 def large_step(
-    inst: Instance, tour: Tour, k_bs: int, *, deadline: float | None = None
+    inst: Instance, tour: Tour, k_bs: int, *, deadline: float = math.inf
 ) -> bool:
     """Applies the best improving large-neighborhood move, if any.
 
-    A kernel that would start after ``deadline`` is skipped, and the
-    best move of the kernels that ran is applied.
+    The step starts from the empty move and keeps each strictly cheaper
+    kernel result. A kernel that would start after ``deadline`` is
+    skipped, and the best move of the kernels that ran is applied.
     """
-    best = None
+    best = MoveDelta("2k-opt", (), 0)
     for scan, args in ((two_k_opt_best, ()), (four_opt_best, ()), (bs_best, (k_bs,))):
-        if deadline is not None and time.perf_counter() >= deadline:
+        if time.perf_counter() >= deadline:
             break
         m = scan(inst, tour, *args)
-        if best is None or m.delta < best.delta:
+        if m.delta < best.delta:
             best = m
-    if best is None or not best.indices:
+    if not best.indices:
         return False
     apply_move(inst, tour, best)
     return True
@@ -143,15 +145,15 @@ def local_search(
     rng: random.Random,
     use_large: bool | None = None,
     *,
-    deadline: float | None = None,
+    deadline: float = math.inf,
     optima: dict | None = None,
 ) -> Tour:
     """Runs the tour to a local optimum in place and returns it.
 
-    With a ``deadline`` (a ``time.perf_counter()`` value) the descent
-    starts no round, pair step or large step after it, so the tour may
-    be short of a local optimum; it is still feasible and its cost is
-    exact. Without one, no clock is read.
+    The descent starts no round, pair step or large step after
+    ``deadline``, a ``time.perf_counter()`` value that by default is
+    never reached. A cut tour may be short of a local optimum; it is
+    still feasible and its cost is exact.
 
     ``optima`` (see the module docstring) lets the descent skip the
     steps an earlier descent proved empty; it returns what a plain
@@ -169,14 +171,14 @@ def local_search(
         recall(optima, tour, stamps)
     improved = True
     while improved:
-        if deadline is not None and time.perf_counter() >= deadline:
+        if time.perf_counter() >= deadline:
             break
         rng.shuffle(pairs)
         improved = phase_one_sweep(
             inst, tour, pairs, params.k_or, stamps=stamps, deadline=deadline, optima=optima
         )
         if use_large and stamps[-1] != stamps[0]:
-            if deadline is not None and time.perf_counter() >= deadline:
+            if time.perf_counter() >= deadline:
                 break
             if large_step(inst, tour, params.k_bs, deadline=deadline):
                 stamps[0] += 1
@@ -186,7 +188,7 @@ def local_search(
             else:
                 stamps[-1] = stamps[0]
     # A descent cut by the deadline returns only after it.
-    if optima is not None and (deadline is None or time.perf_counter() < deadline):
+    if optima is not None and time.perf_counter() < deadline:
         key = tuple(tour.seq)
         optima[key] = use_large or optima.get(key, False)
     return tour

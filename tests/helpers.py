@@ -40,6 +40,15 @@ def random_feasible_tour(rng, inst: Instance) -> Tour:
     return Tour(inst, random_feasible_seq(rng, inst))
 
 
+def layer_widths(layers) -> tuple:
+    """Widest layer of a Balas-Simonetti graph, as ``bs_optimize``
+    returns its layers: (state count, count of distinct (m, mask)
+    placement shapes)."""
+    nodes = max(map(len, layers))
+    shapes = max(len({(m, mask) for _, m, mask in layer}) for layer in layers)
+    return nodes, shapes
+
+
 def adjacent_pairs_tour(rng, inst: Instance) -> Tour:
     """A feasible tour where each pickup is followed by its own delivery
     with probability 0.7; the other deliveries come later, in random

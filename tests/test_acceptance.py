@@ -40,7 +40,12 @@ from pdtsp_kit.neighborhoods.oracles import (
 )
 from pdtsp_kit.oracle import MAX_PAIRS, brute_force_optimal
 from pdtsp_kit.tour import Tour, check_precedence, tour_cost
-from helpers import checked_insertion, euclid_instance, random_feasible_tour
+from helpers import (
+    checked_insertion,
+    euclid_instance,
+    layer_widths,
+    random_feasible_tour,
+)
 
 
 def _single_two_opts(inst, tour):
@@ -330,13 +335,14 @@ def test_window_reorder_graph_matches_enumeration_within_width_bounds():
             rng = random.Random(7100 + 100 * k + idx)
             inst = euclid_instance(rng, n)
             tour = random_feasible_tour(rng, inst)
-            seq, cost, stats = bs_optimize(inst, tour.seq, k)
+            seq, cost, layers = bs_optimize(inst, tour.seq, k)
             ref_cost, _ = bs_oracle(inst, tour.seq, k)
             assert cost == ref_cost
             assert cost == tour_cost(inst, seq)
             assert not check_precedence(inst, seq)
-            assert stats["max_set_pairs"] <= shape_cap
-            assert stats["max_nodes"] <= node_cap
+            nodes, shapes = layer_widths(layers)
+            assert shapes <= shape_cap
+            assert nodes <= node_cap
 
     rng = random.Random(7099)
     inst = euclid_instance(rng, 4)

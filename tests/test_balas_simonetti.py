@@ -7,7 +7,13 @@ import pytest
 from pdtsp_kit.neighborhoods import bs_best, bs_optimize
 from pdtsp_kit.neighborhoods.oracles import bs_oracle, bs_oracle_pairwise
 from pdtsp_kit.tour import MoveDelta, apply_move, check_precedence, tour_cost
-from helpers import euclid_instance, float_instance, line_tour, random_feasible_tour
+from helpers import (
+    euclid_instance,
+    float_instance,
+    layer_widths,
+    line_tour,
+    random_feasible_tour,
+)
 
 
 def window_ok(orig_seq, new_seq, k):
@@ -63,12 +69,13 @@ def test_open_mode_and_floats():
 
 def test_k1_is_identity():
     rng = random.Random(73)
-    inst = euclid_instance(rng, 4)
-    tour = random_feasible_tour(rng, inst)
-    seq, cost, stats = bs_optimize(inst, tour.seq, 1)
-    assert seq == tour.seq
-    assert cost == tour.cost
-    assert stats["max_nodes"] == 1
+    for inst in (euclid_instance(rng, 4), float_instance(rng, 4, mode="open")):
+        tour = random_feasible_tour(rng, inst)
+        seq, cost, layers = bs_optimize(inst, tour.seq, 1)
+        assert seq == tour.seq
+        assert cost == tour.cost == tour_cost(inst, tour.seq)
+        assert type(cost) is type(tour.cost)
+        assert layer_widths(layers) == (1, 1)
 
 
 def test_layer_widths_bounded():
@@ -78,9 +85,10 @@ def test_layer_widths_bounded():
         for _ in range(4):
             inst = euclid_instance(rng, 6)
             tour = random_feasible_tour(rng, inst)
-            _, _, stats = bs_optimize(inst, tour.seq, k)
-            assert stats["max_nodes"] <= node_cap
-            assert stats["max_set_pairs"] <= 2 ** (k - 1)
+            _, _, layers = bs_optimize(inst, tour.seq, k)
+            nodes, shapes = layer_widths(layers)
+            assert nodes <= node_cap
+            assert shapes <= 2 ** (k - 1)
 
 
 def test_bs_best_move_improves_or_matches():

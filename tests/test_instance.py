@@ -87,6 +87,8 @@ def test_instance_validation():
             Instance(1, [[0, 1.5, bad], [1.5, 0, 1], [bad, 1, 0]])
     with pytest.raises(ValueError):
         Instance(1, [[0, 1, 2], [1, 0, 1], [2, 1, 0]], mode="loop")
+    with pytest.raises(ValueError, match="name"):
+        Instance(1, [[0, 1, 2], [1, 0, 1], [2, 1, 0]], name=None)
 
 
 def test_numpy_integer_costs_are_integral():
@@ -166,6 +168,16 @@ def test_names_that_steer_paths_or_csv_fields_are_refused(name):
     with pytest.raises(FormatError, match="may not hold") as err:
         parse_instance("\n".join(lines))
     assert err.value.line_no == 1
+
+
+@pytest.mark.parametrize("name", ["", "a b", "a#b", "a,b", "a/b", "a\\b"])
+def test_library_builds_no_instance_its_parser_refuses(name):
+    cost = [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
+    with pytest.raises(ValueError, match="name"):
+        Instance(1, cost, name=name)
+    pts = [(0, 0), (1, 0), (2, 0)]
+    with pytest.raises(ValueError, match="name"):
+        generate_pairs(pts, "C", random.Random(1), name=name)
 
 
 def test_parse_error_line_numbers():

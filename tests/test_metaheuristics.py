@@ -199,6 +199,15 @@ def test_rr_params_validation():
         RrParams(iters=None, tmax=None)
     with pytest.raises(ValueError):
         RrParams(iters=-1)
+    # A NaN budget would never pass, and an infinite one is no budget.
+    for tmax in (math.nan, -1.0):
+        with pytest.raises(ValueError):
+            RrParams(iters=None, tmax=tmax)
+        with pytest.raises(ValueError):
+            RrParams(iters=5, tmax=tmax)
+    with pytest.raises(ValueError):
+        RrParams(iters=None, tmax=math.inf)
+    assert RrParams(iters=5, tmax=math.inf).tmax == math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -667,3 +676,10 @@ def test_hgs_params_validation():
         HgsParams(mu=5, mu_elite=6, max_no_improve=1)
     with pytest.raises(ValueError):
         HgsParams(lam=0, max_no_improve=1)
+    # A NaN budget would never pass, and an infinite one is no budget.
+    for tmax in (math.nan, -1.0):
+        with pytest.raises(ValueError):
+            HgsParams(tmax=tmax, max_no_improve=1)
+    with pytest.raises(ValueError):
+        HgsParams(tmax=math.inf)
+    assert HgsParams(tmax=math.inf, max_no_improve=1).tmax == math.inf

@@ -1,5 +1,6 @@
 """Two-phase descent: termination, feasibility, local optimality."""
 
+import math
 import random
 import time
 from collections import Counter
@@ -10,7 +11,12 @@ import pytest
 import pdtsp_kit.search as search
 from pdtsp_kit.instance import Instance
 from pdtsp_kit.metaheuristics import greedy_construct
-from pdtsp_kit.neighborhoods import SearchParams, two_k_opt_best
+from pdtsp_kit.neighborhoods import (
+    SearchParams,
+    bs_best,
+    four_opt_best,
+    two_k_opt_best,
+)
 from pdtsp_kit.oracle import brute_force_optimal
 from pdtsp_kit.search import large_step, local_search, pair_step, phase_one_sweep
 from pdtsp_kit.tour import apply_move, tour_cost
@@ -110,7 +116,7 @@ def _spy_steps(monkeypatch):
         log.append((x, tuple(tour.seq), m.improves(inst.eps)))
         return m
 
-    def spy_large(inst, tour, k_bs, *, deadline=None):
+    def spy_large(inst, tour, k_bs, *, deadline=math.inf):
         seen = tuple(tour.seq)
         applied = large_step(inst, tour, k_bs, deadline=deadline)
         log.append((0, seen, applied))
@@ -313,14 +319,42 @@ def test_large_step_skips_kernels_after_deadline(monkeypatch):
     assert tour.seq == ref.seq
     assert tour.cost == ref.cost
 
-    # Without a deadline no clock is read.
-    monkeypatch.undo()
 
-    def no_clock():
-        raise AssertionError("clock read without a deadline")
+def test_large_step_applies_the_first_of_the_cheapest_kernel_moves():
+    # On these tours of a 20-unit grid, two or three kernels tie on the
+    # least delta with different tours; the step keeps the first in the
+    # order nested 2-opt, 4-opt, Balas-Simonetti.
+    for seed in (13, 63, 69, 93):
+        rng = random.Random(seed)
+        inst = euclid_instance(rng, 3 + seed % 3, span=20)
+        tour = random_feasible_tour(rng, inst)
+        moves = [
+            two_k_opt_best(inst, tour),
+            four_opt_best(inst, tour),
+            bs_best(inst, tour, 3),
+        ]
+        least = min(m.delta for m in moves)
+        tours = []
+        for m in moves:
+            if m.delta == least:
+                trial = tour.copy()
+                apply_move(inst, trial, m)
+                tours.append(trial.seq)
+        assert any(t != tours[0] for t in tours)
+        assert large_step(inst, tour, 3)
+        assert tour.seq == tours[0]
 
-    monkeypatch.setattr(search, "time", SimpleNamespace(perf_counter=no_clock))
-    large_step(inst, tour, 3)
+
+def test_large_step_after_the_deadline_applies_nothing():
+    # No kernel runs, so the step keeps the empty move it starts from.
+    rng = random.Random(89)
+    inst = euclid_instance(rng, 8)
+    tour = random_feasible_tour(rng, inst)
+    assert two_k_opt_best(inst, tour).indices
+    seq, cost = list(tour.seq), tour.cost
+    assert not large_step(inst, tour, 3, deadline=time.perf_counter())
+    assert tour.seq == seq
+    assert tour.cost == cost
 
 
 @pytest.mark.parametrize(
