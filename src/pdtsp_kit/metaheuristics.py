@@ -28,6 +28,16 @@ empty there. A tour whose sequence equals a current member's, a twin,
 takes the member's edge set and distance row instead of one Jaccard
 distance per member. Both are exact: the descent's steps depend only on
 the tour, and the edge set only on the sequence.
+
+Two more per-run maps skip repeated deterministic work, each an ``Lru``
+of at most ``mu + lam`` keys, the population's own bound, as HGS-CVRP
+bounds its per-run state. The breeding memo maps a child's sequence, as
+crossover left it, to its mutated and repaired tour; a clone population
+breeds the same child again and again. The pair-step memo maps a tour's
+sequence to the pair steps a descent already ran there
+(``local_search(memo=...)``). Both are exact: mutation and repair read
+no random numbers and depend on the sequence alone, and so does a pair
+step.
 """
 
 from __future__ import annotations
@@ -40,7 +50,7 @@ from dataclasses import dataclass, field
 from .instance import Instance, OPEN
 from .neighborhoods import SearchParams, four_opt_type1_any
 from .neighborhoods.relocate import best_insertion, removal_delta
-from .search import local_search
+from .search import Lru, local_search
 from .tour import Tour, check_precedence, four_opt_splice, insert_pair
 
 
@@ -254,14 +264,25 @@ def lox_crossover(p1: Tour, p2: Tour, rng: random.Random) -> list:
     return [p1.seq[0]] + fill[:a] + window + fill[a:] + [p1.seq[-1]]
 
 
-def mutate_and_repair(inst: Instance, seq: list) -> Tour:
+def mutate_and_repair(inst: Instance, seq: list, memo: Lru | None = None) -> Tour:
     """Applies the best type-1 4-opt if it helps, then fixes broken pairs.
 
     Repair takes each violated pair in tour order of its pickup, pulls
     both visits out and reinserts them at the cheapest feasible joint
     position. Reinsertion always places the pickup first, so one pass
-    leaves no violations behind.
+    leaves no violations behind. ``seq`` may be edited in place.
+
+    The function is pure: the result depends on ``seq`` alone, and
+    neither step draws a random number. So a caller may pass a ``memo``
+    that maps ``tuple(seq)`` to the stored result; a sequence it holds
+    returns a copy of the stored tour, and a new one stores a copy of
+    its result, so editing a returned tour never reaches the memo.
     """
+    if memo is not None:
+        key = tuple(seq)
+        done = memo.get(key)
+        if done is not None:
+            return done.copy()
     w = inst.work_cost()
     n = inst.n_pairs
     m = four_opt_type1_any(inst, seq)
@@ -276,7 +297,10 @@ def mutate_and_repair(inst: Instance, seq: list) -> Tour:
             del seq[i]
             _, ip, jp = best_insertion(w, seq, x, x + n)
             insert_pair(seq, x, x + n, ip, jp)
-    return Tour(inst, seq)
+    tour = Tour(inst, seq)
+    if memo is not None:
+        memo.put(key, tour.copy())
+    return tour
 
 
 def location_ids(inst: Instance) -> list:
@@ -415,9 +439,14 @@ def hgs_run(
     near: list[list[float]] = []
     # Only members' sequences: at most mu + lam keys.
     optima: dict[tuple, bool] = {}
+    # The breeding and pair-step memos (see the module docstring).
+    bred = Lru(params.mu + params.lam)
+    scanned = Lru(params.mu + params.lam)
 
     def educate_and_add(tour: Tour):
-        local_search(inst, tour, sp, rng, deadline=deadline, optima=optima)
+        local_search(
+            inst, tour, sp, rng, deadline=deadline, optima=optima, memo=scanned
+        )
         k = find_twin(pop, tour.seq)
         if k is None:
             e = edge_set(loc, tour.seq)
@@ -486,7 +515,7 @@ def hgs_run(
         t_breed = time.perf_counter()
         p1 = pop[pick()].tour
         p2 = pop[pick()].tour
-        child = mutate_and_repair(inst, lox_crossover(p1, p2, rng))
+        child = mutate_and_repair(inst, lox_crossover(p1, p2, rng), memo=bred)
         breed_s = time.perf_counter() - t_breed
         educate_and_add(child)
         children += 1

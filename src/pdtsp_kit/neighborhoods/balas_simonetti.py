@@ -34,6 +34,10 @@ def bs_optimize(inst: Instance, seq, k: int):
     starts at 0 and adds its edge costs left to right. k = 1 fixes every
     position: each layer holds one state, and the cost is the input's,
     added as ``tour_cost`` adds it.
+
+    Raises ``ValueError`` if no reordering within the window keeps every
+    pickup ahead of its delivery, which only a precedence-infeasible
+    ``seq`` can cause.
     """
     if not 1 <= k <= 12:
         raise ValueError("k must be between 1 and 12")
@@ -80,6 +84,10 @@ def bs_optimize(inst: Instance, seq, k: int):
                 known = nxt.get(nstate)
                 if known is None or ncost < known[0]:
                     nxt[nstate] = (ncost, state)
+        if not nxt:
+            raise ValueError(
+                "no precedence-feasible reordering of seq within the window"
+            )
         layer = nxt
         layers.append(layer)
 

@@ -32,6 +32,14 @@ stamps every pair, and the large phase if flagged, with the current
 count, and the same argument makes it exact. A descent records where
 it ended only if it finished before its deadline: a cut one may have
 stopped short of a local optimum.
+
+Such a caller may also pass one ``memo``, an ``Lru`` map from a
+sequence to the pair steps already run there, ``{pair: MoveDelta}``.
+Each pair step is looked up in the current tour's record before it
+runs, and a miss is stored. This is exact because a pair step reads
+only the sequence; only the Balas-Simonetti kernel of the large step
+reads the cached cost, and the large step is not memoized. A memo
+serves one instance and one ``k_or``.
 """
 
 from __future__ import annotations
@@ -39,6 +47,7 @@ from __future__ import annotations
 import math
 import random
 import time
+from collections import OrderedDict
 
 from .instance import Instance
 from .neighborhoods import (
@@ -68,6 +77,34 @@ def pair_step(inst: Instance, tour: Tour, x: int, k_or: int):
     return best
 
 
+class Lru:
+    """A map of at most ``cap`` keys; when a ``put`` goes past the cap,
+    the least recently used key leaves. A ``get`` that finds its key,
+    and every ``put``, count as a use. Values are never None."""
+
+    __slots__ = ("cap", "data")
+
+    def __init__(self, cap: int):
+        self.cap = cap
+        self.data = OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self.data)
+
+    def get(self, key):
+        """The value at ``key``, or None if it is not held."""
+        value = self.data.get(key)
+        if value is not None:
+            self.data.move_to_end(key)
+        return value
+
+    def put(self, key, value) -> None:
+        self.data[key] = value
+        self.data.move_to_end(key)
+        if len(self.data) > self.cap:
+            self.data.popitem(last=False)
+
+
 def recall(optima: dict, tour: Tour, stamps: list) -> None:
     """Stamps every pair, and the large phase (the last stamp) if its
     flag is set, when ``tour`` is in ``optima``."""
@@ -87,6 +124,7 @@ def phase_one_sweep(
     stamps: list,
     deadline: float = math.inf,
     optima: dict | None = None,
+    memo: Lru | None = None,
 ) -> bool:
     """One pass over ``order`` that applies each pair's best improving move.
 
@@ -97,17 +135,36 @@ def phase_one_sweep(
     pair. The pass stops before any pair step that would start after
     ``deadline``. With ``optima``, ``stamps`` ends with the large
     phase's stamp, and each applied move is followed by ``recall``.
+
+    With ``memo`` (see the module docstring), the pass fetches the
+    current tour's record, under ``tuple(tour.seq)``, at its first pair
+    step there, takes a pair's result from it when held and stores each
+    result it computes. An applied move changes the tour, so the pass
+    drops the record and fetches the next tour's at its next pair step.
     """
     improved = False
+    record = None
     for x in order:
         if stamps[x] == stamps[0]:
             continue
         if time.perf_counter() >= deadline:
             break
-        best = pair_step(inst, tour, x, k_or)
+        if memo is None:
+            best = pair_step(inst, tour, x, k_or)
+        else:
+            if record is None:
+                key = tuple(tour.seq)
+                record = memo.get(key)
+                if record is None:
+                    record = {}
+                    memo.put(key, record)
+            best = record.get(x)
+            if best is None:
+                best = record[x] = pair_step(inst, tour, x, k_or)
         if best.indices:
             improved = True
             apply_move(inst, tour, best)
+            record = None
             stamps[0] += 1
             if optima is not None:
                 recall(optima, tour, stamps)
@@ -147,6 +204,7 @@ def local_search(
     *,
     deadline: float = math.inf,
     optima: dict | None = None,
+    memo: Lru | None = None,
 ) -> Tour:
     """Runs the tour to a local optimum in place and returns it.
 
@@ -160,6 +218,11 @@ def local_search(
     descent would return, with the same random draws. If it finishes
     before the deadline, it records its final sequence there, flagged
     if it ran the large phase or the entry already was.
+
+    ``memo`` (see the module docstring) is handed to every
+    ``phase_one_sweep``, so a pair step that an earlier sweep or
+    descent ran at the same sequence is read back instead of run. It
+    too leaves the result and the random draws as they are.
     """
     if use_large is None:
         use_large = rng.random() < params.p_large
@@ -175,7 +238,14 @@ def local_search(
             break
         rng.shuffle(pairs)
         improved = phase_one_sweep(
-            inst, tour, pairs, params.k_or, stamps=stamps, deadline=deadline, optima=optima
+            inst,
+            tour,
+            pairs,
+            params.k_or,
+            stamps=stamps,
+            deadline=deadline,
+            optima=optima,
+            memo=memo,
         )
         if use_large and stamps[-1] != stamps[0]:
             if time.perf_counter() >= deadline:

@@ -122,3 +122,13 @@ def test_k_validation():
         bs_optimize(inst, tour.seq, 0)
     with pytest.raises(ValueError):
         bs_optimize(inst, tour.seq, 13)
+
+
+def test_infeasible_window_raises_value_error():
+    # Pairs (1, 3) and (2, 4). In the first tour 2 is three slots after
+    # its delivery 4, so a window of 2 cannot bring it ahead; at k = 1
+    # every position is fixed, and 3 precedes its pickup 1.
+    inst = euclid_instance(random.Random(77), 2)
+    for seq, k in (([0, 4, 3, 1, 2, 0], 2), ([0, 3, 1, 2, 4, 0], 1)):
+        with pytest.raises(ValueError, match="precedence-feasible"):
+            bs_optimize(inst, seq, k)

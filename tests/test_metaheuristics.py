@@ -33,6 +33,7 @@ from pdtsp_kit.metaheuristics import (
 from pdtsp_kit.neighborhoods import SearchParams
 from pdtsp_kit.neighborhoods.relocate import best_insertion, removal_delta
 from pdtsp_kit.oracle import brute_force_optimal
+from pdtsp_kit.search import Lru
 from pdtsp_kit.tour import Tour, tour_cost
 from helpers import (
     checked_insertion,
@@ -258,6 +259,42 @@ def test_mutate_and_repair_keeps_settled_tour():
     assert tour.seq == best.seq
 
 
+def test_mutate_and_repair_memo_hit_is_a_fresh_copy(monkeypatch):
+    # A held sequence returns a tour equal to a memo-less call's without
+    # mutating again; editing a returned tour, in place, leaves the
+    # stored one alone. The memo keeps its cap, dropping the least
+    # recently used sequence.
+    rng = random.Random(109)
+    inst = euclid_instance(rng, 6)
+    calls = Counter()
+    real_four = metaheuristics.four_opt_type1_any
+
+    def counting_four(inst, seq):
+        calls[tuple(seq)] += 1
+        return real_four(inst, seq)
+
+    monkeypatch.setattr(metaheuristics, "four_opt_type1_any", counting_four)
+    memo = Lru(3)
+    seqs = []
+    for _ in range(5):
+        mid = list(range(1, 13))
+        rng.shuffle(mid)
+        seqs.append([0] + mid + [inst.end])
+    for seq in seqs:
+        plain = mutate_and_repair(inst, list(seq))
+        for _ in range(3):
+            t = mutate_and_repair(inst, list(seq), memo=memo)
+            assert (t.seq, t.pos, t.cost) == (plain.seq, plain.pos, plain.cost)
+            t.seq.reverse()
+            t.pos.reverse()
+            t.cost = -1
+        # One call without the memo, one to fill it.
+        assert calls[tuple(seq)] == 2
+        assert len(memo) <= 3
+    mutate_and_repair(inst, list(seqs[1]), memo=memo)
+    assert calls[tuple(seqs[1])] == 3
+
+
 # ---------------------------------------------------------------------------
 # Diversity machinery
 
@@ -474,15 +511,20 @@ def _member_seqs(seen):
 
 def test_hgs_optima_follow_the_trajectory_without_them(monkeypatch):
     # The map of members' local optima skips pair steps and large steps
-    # that a finished descent proved empty, and twins reuse a member's
-    # edge set and distances. Runs whose descents never see the map, and
-    # runs that also find no twin, must end the same, with the same
-    # random state. With no deadline every member's descent finishes, so
-    # the map holds exactly the members' sequences whenever a descent
-    # starts, and at the end.
+    # that a finished descent proved empty, twins reuse a member's edge
+    # set and distances, and the breeding and pair-step memos read back
+    # mutations and pair steps the run already made. Runs without the
+    # memos, runs whose descents also never see the map, and runs that
+    # also find no twin must end the same, with the same random state.
+    # With no deadline every member's descent finishes, so the map holds
+    # exactly the members' sequences whenever a descent starts, and at
+    # the end. Each memo holds at most mu + lam keys after every descent.
     counts = Counter()
     mode = ["map"]
     real_pair, real_large = search.pair_step, search.large_step
+    real_mutate = metaheuristics.mutate_and_repair
+    real_four = metaheuristics.four_opt_type1_any
+    memos = {}
 
     def counting_pair(*args, **kwargs):
         counts[mode[0], "pair"] += 1
@@ -492,15 +534,33 @@ def test_hgs_optima_follow_the_trajectory_without_them(monkeypatch):
         counts[mode[0], "large"] += 1
         return real_large(*args, **kwargs)
 
-    def descend(real_search, optima, *args, **kwargs):
+    def counting_four(*args, **kwargs):
+        counts[mode[0], "four"] += 1
+        return real_four(*args, **kwargs)
+
+    def mutate(inst, seq, *, memo):
+        memos["bred"] = memo
+        if mode[0] != "map":
+            return real_mutate(inst, seq)
+        return real_mutate(inst, seq, memo=memo)
+
+    def descend(real_search, optima, *args, memo, **kwargs):
+        if mode[0] == "no memo":
+            return real_search(*args, optima=optima, **kwargs)
         if mode[0] != "map":
             return real_search(*args, **kwargs)
         assert set(optima) == _member_seqs(seen)
         assert len(optima) <= params.mu + params.lam
-        return real_search(*args, optima=optima, **kwargs)
+        memos["scanned"] = memo
+        out = real_search(*args, optima=optima, memo=memo, **kwargs)
+        for m in memos.values():
+            assert len(m) <= params.mu + params.lam
+        return out
 
     monkeypatch.setattr(search, "pair_step", counting_pair)
     monkeypatch.setattr(search, "large_step", counting_large)
+    monkeypatch.setattr(metaheuristics, "four_opt_type1_any", counting_four)
+    monkeypatch.setattr(metaheuristics, "mutate_and_repair", mutate)
     seen = _watch_optima(monkeypatch, descend)
     watching_find = metaheuristics.find_twin
 
@@ -511,10 +571,11 @@ def test_hgs_optima_follow_the_trajectory_without_them(monkeypatch):
 
     monkeypatch.setattr(metaheuristics, "find_twin", find)
     runs = {}
-    for mode[0] in ("map", "no map", "neither"):
+    for mode[0] in ("map", "no memo", "no map", "neither"):
         for k in range(48):
             inst, params = _twin_case(k)
             seen["pop"] = None
+            memos.clear()
             stats = {}
             rng = random.Random(k)
             best = hgs_run(inst, params, rng, stats)
@@ -523,9 +584,12 @@ def test_hgs_optima_follow_the_trajectory_without_them(monkeypatch):
             if mode[0] == "map":
                 assert set(seen["optima"]) == _member_seqs(seen)
     for k in range(48):
-        assert runs["map", k] == runs["no map", k] == runs["neither", k], k
-    assert counts["map", "pair"] < counts["no map", "pair"]
-    assert counts["map", "large"] < counts["no map", "large"]
+        ref = runs["map", k]
+        assert runs["no memo", k] == runs["no map", k] == runs["neither", k] == ref, k
+    assert counts["map", "pair"] < counts["no memo", "pair"] < counts["no map", "pair"]
+    assert counts["map", "four"] < counts["no memo", "four"] == counts["no map", "four"]
+    assert counts["map", "large"] == counts["no memo", "large"]
+    assert counts["no memo", "large"] < counts["no map", "large"]
     assert counts["map", "twin"] > 0
 
 
@@ -652,9 +716,9 @@ def test_hgs_starts_no_child_that_would_end_past_the_deadline(monkeypatch):
     monkeypatch.setattr(search, "time", clock)
     bred = []
 
-    def slow_mutate(inst, tour):
+    def slow_mutate(inst, tour, **kwargs):
         now[0] += 0.3
-        bred.append(mutate_and_repair(inst, tour))
+        bred.append(mutate_and_repair(inst, tour, **kwargs))
         return bred[-1]
 
     monkeypatch.setattr(metaheuristics, "mutate_and_repair", slow_mutate)

@@ -18,7 +18,7 @@ from pdtsp_kit.neighborhoods import (
     two_k_opt_best,
 )
 from pdtsp_kit.oracle import brute_force_optimal
-from pdtsp_kit.search import large_step, local_search, pair_step, phase_one_sweep
+from pdtsp_kit.search import Lru, large_step, local_search, pair_step, phase_one_sweep
 from pdtsp_kit.tour import apply_move, tour_cost
 from helpers import euclid_instance, float_instance, random_feasible_tour
 
@@ -238,6 +238,63 @@ def test_settled_descent_skips_only_empty_pair_steps(monkeypatch, mode, build, u
     assert skipped[0, False] and skipped[1, False]
     if use_large is not False:
         assert skipped[0, True] and skipped[1, True]
+
+
+def test_lru_drops_the_least_recently_used_key():
+    memo = Lru(2)
+    memo.put("a", 1)
+    memo.put("b", 2)
+    assert memo.get("a") == 1  # now "b" is the least recently used
+    memo.put("c", 3)
+    assert len(memo) == 2
+    assert memo.get("b") is None
+    assert (memo.get("a"), memo.get("c")) == (1, 3)
+    memo.put("a", 4)  # a put is a use too
+    memo.put("d", 5)
+    assert memo.get("c") is None
+    assert (memo.get("a"), memo.get("d")) == (4, 5)
+
+
+@pytest.mark.parametrize("mode", ["closed", "open"])
+@pytest.mark.parametrize("build", [euclid_instance, float_instance])
+@pytest.mark.parametrize("use_large", [True, False])
+def test_memo_descent_reads_back_the_pair_steps_of_earlier_ones(
+    monkeypatch, mode, build, use_large
+):
+    # One descent never meets a (pair, tour) twice: its cost falls with
+    # every move, and stamps skip the steps it already ran at a tour. So
+    # a descent with a fresh memo runs the plain descent's steps, and a
+    # second one from the same start reads every pair step back. Those,
+    # one that takes the pairs in another order with the same memo, and
+    # one whose memo holds a single key, return what the plain descent
+    # with their seed returns, with the same random draws.
+    params = SearchParams()
+    log = _spy_steps(monkeypatch)
+    for seed in range(8):
+        inst = build(random.Random(970 + seed), 6 + seed % 3, mode=mode)
+        start = random_feasible_tour(random.Random(seed), inst)
+        plain = {}
+        for s in (seed, seed + 100):
+            tour, rng = start.copy(), random.Random(s)
+            del log[:]
+            local_search(inst, tour, params, rng, use_large)
+            plain[s] = (tour.seq, tour.cost, type(tour.cost), rng.getstate(), log[:])
+        plain_log = plain[seed][-1]
+        assert any(step for step, _, _ in plain_log)
+        memo = Lru(10_000)
+        large_only = [entry for entry in plain_log if entry[0] == 0]
+        for memo_used, s, runs in (
+            (memo, seed, plain_log),
+            (memo, seed, large_only),
+            (memo, seed + 100, None),
+            (Lru(1), seed, plain_log),
+        ):
+            got, rng = start.copy(), random.Random(s)
+            del log[:]
+            local_search(inst, got, params, rng, use_large, memo=memo_used)
+            assert (got.seq, got.cost, type(got.cost), rng.getstate()) == plain[s][:4]
+            if runs is not None:
+                assert log == runs
 
 
 def test_descent_stops_at_deadline():
