@@ -18,26 +18,20 @@ member's pair in O(1), and a leaving one sends back to a full sort only
 the rows whose pair it may have been part of. Ranking then reads two
 floats per member instead of sorting every row.
 
-The run remembers its members' local optima, the exact form of
-Bentley's don't-look bits (1992): one map from each member's sequence
-to whether the large step is also known to be empty there, filled by
-every descent that finishes (``local_search(optima=...)``) and cleared
-of a sequence when the last member holding it leaves. A descent that
-starts at, or moves to, such a tour skips the steps already proved
-empty there. A tour whose sequence equals a current member's, a twin,
-takes the member's edge set and distance row instead of one Jaccard
-distance per member. Both are exact: the descent's steps depend only on
-the tour, and the edge set only on the sequence.
+A tour whose sequence equals a current member's, a twin, takes the
+member's edge set and distance row instead of one Jaccard distance per
+member; the edge set depends on the sequence alone.
 
-Two more per-run maps skip repeated deterministic work, each an ``Lru``
-of at most ``mu + lam`` keys, the population's own bound, as HGS-CVRP
-bounds its per-run state. The breeding memo maps a child's sequence, as
-crossover left it, to its mutated and repaired tour; a clone population
-breeds the same child again and again. The pair-step memo maps a tour's
-sequence to the pair steps a descent already ran there
-(``local_search(memo=...)``). Both are exact: mutation and repair read
-no random numbers and depend on the sequence alone, and so does a pair
-step.
+Two per-run maps skip repeated deterministic work, each an ``Lru`` of at
+most ``mu + lam`` keys, the population's own bound, as HGS-CVRP bounds
+its per-run state (Vidal 2022). The breeding memo maps a child's
+sequence, as crossover left it, to its mutated and repaired tour; a
+clone population breeds the same child again and again. The descent
+memo holds the steps every descent ran, one record per tour
+(``local_search(memo=...)``), so a child that reaches a member's local
+optimum, or any tour an earlier descent passed, skips the steps already
+run there. Both are exact: mutation and repair read no random numbers
+and depend on the sequence alone, and so does a pair step.
 """
 
 from __future__ import annotations
@@ -437,16 +431,12 @@ def hgs_run(
     pop: list[_Member] = []
     dist: list[list[float]] = []
     near: list[list[float]] = []
-    # Only members' sequences: at most mu + lam keys.
-    optima: dict[tuple, bool] = {}
-    # The breeding and pair-step memos (see the module docstring).
+    # The breeding and descent memos (see the module docstring).
     bred = Lru(params.mu + params.lam)
     scanned = Lru(params.mu + params.lam)
 
     def educate_and_add(tour: Tour):
-        local_search(
-            inst, tour, sp, rng, deadline=deadline, optima=optima, memo=scanned
-        )
+        local_search(inst, tour, sp, rng, deadline=deadline, memo=scanned)
         k = find_twin(pop, tour.seq)
         if k is None:
             e = edge_set(loc, tour.seq)
@@ -472,11 +462,8 @@ def hgs_run(
             worst = max(
                 (i for i in range(len(pop)) if i not in keep), key=bf.__getitem__
             )
-            seq = pop.pop(worst).tour.seq
+            pop.pop(worst)
             leave_neighbors(dist, near, worst)
-            if find_twin(pop, seq) is None:
-                # Absent if no holder's descent finished.
-                optima.pop(tuple(seq), None)
 
     best = None
     ttb = 0.0

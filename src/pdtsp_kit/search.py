@@ -13,33 +13,25 @@ cheaper result and applies the one it kept unless that is empty.
 Whether a descent gets the large phase is decided once per descent,
 with probability ``p_large`` unless the caller forces it either way.
 
-A descent skips scans that cannot change anything. It counts the moves
-it has applied and stamps each pair, and the large phase, with that
-count whenever its step finds no improving move. While the count still
-equals the stamp, the tour is the one that step last saw, and
-``pair_step`` and ``large_step`` depend only on the tour, so the step
-would find no improving move again; it is skipped. The shuffle still
-runs every round, so tours, costs and the random stream are exactly
-those of a descent that rescans everything.
-
-A caller that runs many descents, as HGS does, passes the same
-``optima`` map to each. It maps the sequence (``tuple(seq)``) at which
-an earlier descent finished to whether that descent ran the large
-phase. No pair step improves such a tour, and neither does the large
-step when the flag is set, since the steps depend only on the tour. So
-whenever the descent starts at, or moves to, a tour in the map, it
-stamps every pair, and the large phase if flagged, with the current
-count, and the same argument makes it exact. A descent records where
-it ended only if it finished before its deadline: a cut one may have
-stopped short of a local optimum.
-
-Such a caller may also pass one ``memo``, an ``Lru`` map from a
-sequence to the pair steps already run there, ``{pair: MoveDelta}``.
-Each pair step is looked up in the current tour's record before it
-runs, and a miss is stored. This is exact because a pair step reads
-only the sequence; only the Balas-Simonetti kernel of the large step
-reads the cached cost, and the large step is not memoized. A memo
-serves one instance and one ``k_or``.
+A descent skips the steps it has already run at a tour, the exact form
+of Bentley's don't-look bits (1992). It keeps one record per tour in a
+``memo``, an ``Lru`` keyed by the sequence (``tuple(seq)``): the record
+maps each pair whose step ran there to that step's result, and holds
+the key 0 once the large step found nothing there. A pair step reads
+only the sequence, so a held result is the one the step would return;
+the sweep applies it, or skips the pair if it is empty, instead of
+running the step. The key 0 skips the large step, which also reads the
+cached cost in Balas-Simonetti's delta; equal sequences can carry costs
+that differ by rounding, and the record treats that step, too, as a
+function of the sequence. A plain descent uses a one-key memo: each
+move lowers the cost, so it never revisits a tour, and the memo holds
+just the current tour's record, as the bits would. A caller that runs
+many descents, as HGS does, passes one larger memo to each, and a
+descent that starts at, or moves to, a tour where an earlier one ran
+steps reads them back. Either way the shuffle still runs every round,
+so tours, costs and the random stream are exactly those of a descent
+that rescans everything. A memo serves one instance, one ``k_or`` and
+one ``k_bs``.
 """
 
 from __future__ import annotations
@@ -105,14 +97,14 @@ class Lru:
             self.data.popitem(last=False)
 
 
-def recall(optima: dict, tour: Tour, stamps: list) -> None:
-    """Stamps every pair, and the large phase (the last stamp) if its
-    flag is set, when ``tour`` is in ``optima``."""
-    large = optima.get(tuple(tour.seq))
-    if large is not None:
-        stamps[1:-1] = [stamps[0]] * (len(stamps) - 2)
-        if large:
-            stamps[-1] = stamps[0]
+def record_of(memo: Lru, tour: Tour) -> dict:
+    """The record of ``tour`` in ``memo``, stored empty if it is new."""
+    key = tuple(tour.seq)
+    record = memo.get(key)
+    if record is None:
+        record = {}
+        memo.put(key, record)
+    return record
 
 
 def phase_one_sweep(
@@ -121,55 +113,32 @@ def phase_one_sweep(
     order,
     k_or: int,
     *,
-    stamps: list,
+    memo: Lru,
     deadline: float = math.inf,
-    optima: dict | None = None,
-    memo: Lru | None = None,
 ) -> bool:
     """One pass over ``order`` that applies each pair's best improving move.
 
-    ``stamps`` holds the count of applied moves at index 0 and, at index
-    x, the count at which pair x last found no improving move. A pair
-    whose stamp equals the count is skipped, and each applied move
-    advances the count, so fresh stamps ``[0] + [-1] * n`` scan every
-    pair. The pass stops before any pair step that would start after
-    ``deadline``. With ``optima``, ``stamps`` ends with the large
-    phase's stamp, and each applied move is followed by ``recall``.
-
-    With ``memo`` (see the module docstring), the pass fetches the
-    current tour's record, under ``tuple(tour.seq)``, at its first pair
-    step there, takes a pair's result from it when held and stores each
-    result it computes. An applied move changes the tour, so the pass
-    drops the record and fetches the next tour's at its next pair step.
+    The pass fetches the current tour's record from ``memo`` (see the
+    module docstring) at its start and after each applied move. A pair
+    whose result the record holds takes it: an empty one is skipped, an
+    improving one is applied. Otherwise the pair step runs and its
+    result is stored. This is exact, with any memo: every held result
+    is one a pair step returned at that sequence, and a pair step reads
+    nothing else. The clock is read only before a pair step that runs,
+    and the pass stops before one that would start after ``deadline``.
     """
     improved = False
-    record = None
+    record = record_of(memo, tour)
     for x in order:
-        if stamps[x] == stamps[0]:
-            continue
-        if time.perf_counter() >= deadline:
-            break
-        if memo is None:
-            best = pair_step(inst, tour, x, k_or)
-        else:
-            if record is None:
-                key = tuple(tour.seq)
-                record = memo.get(key)
-                if record is None:
-                    record = {}
-                    memo.put(key, record)
-            best = record.get(x)
-            if best is None:
-                best = record[x] = pair_step(inst, tour, x, k_or)
+        best = record.get(x)
+        if best is None:
+            if time.perf_counter() >= deadline:
+                break
+            best = record[x] = pair_step(inst, tour, x, k_or)
         if best.indices:
             improved = True
             apply_move(inst, tour, best)
-            record = None
-            stamps[0] += 1
-            if optima is not None:
-                recall(optima, tour, stamps)
-        else:
-            stamps[x] = stamps[0]
+            record = record_of(memo, tour)
     return improved
 
 
@@ -203,7 +172,6 @@ def local_search(
     use_large: bool | None = None,
     *,
     deadline: float = math.inf,
-    optima: dict | None = None,
     memo: Lru | None = None,
 ) -> Tour:
     """Runs the tour to a local optimum in place and returns it.
@@ -213,52 +181,38 @@ def local_search(
     never reached. A cut tour may be short of a local optimum; it is
     still feasible and its cost is exact.
 
-    ``optima`` (see the module docstring) lets the descent skip the
-    steps an earlier descent proved empty; it returns what a plain
-    descent would return, with the same random draws. If it finishes
-    before the deadline, it records its final sequence there, flagged
-    if it ran the large phase or the entry already was.
-
     ``memo`` (see the module docstring) is handed to every
-    ``phase_one_sweep``, so a pair step that an earlier sweep or
-    descent ran at the same sequence is read back instead of run. It
-    too leaves the result and the random draws as they are.
+    ``phase_one_sweep``; without one the descent uses ``Lru(1)``. The
+    large phase is skipped at a tour whose record holds the key 0. A
+    large step that applies nothing sets that key only if it returns
+    before the deadline: one the deadline cut skipped kernels, so it
+    proved nothing. So every key 0, like every held pair result, stands
+    for a step that ran in full at that sequence, even in a descent the
+    deadline cut, and a descent it does not cut returns what a plain
+    descent returns, with the same random draws, whatever the memo held.
     """
     if use_large is None:
         use_large = rng.random() < params.p_large
-    n = inst.n_pairs
-    pairs = list(range(1, n + 1))
-    # The last stamp is the large phase's.
-    stamps = [0] + [-1] * (n + 1)
-    if optima is not None:
-        recall(optima, tour, stamps)
+    if memo is None:
+        memo = Lru(1)
+    pairs = list(range(1, inst.n_pairs + 1))
     improved = True
     while improved:
         if time.perf_counter() >= deadline:
             break
         rng.shuffle(pairs)
         improved = phase_one_sweep(
-            inst,
-            tour,
-            pairs,
-            params.k_or,
-            stamps=stamps,
-            deadline=deadline,
-            optima=optima,
-            memo=memo,
+            inst, tour, pairs, params.k_or, memo=memo, deadline=deadline
         )
-        if use_large and stamps[-1] != stamps[0]:
-            if time.perf_counter() >= deadline:
-                break
-            if large_step(inst, tour, params.k_bs, deadline=deadline):
-                stamps[0] += 1
-                improved = True
-                if optima is not None:
-                    recall(optima, tour, stamps)
-            else:
-                stamps[-1] = stamps[0]
-    # A descent cut by the deadline returns only after it.
-    if optima is not None and time.perf_counter() < deadline:
-        key = tuple(tour.seq)
-        optima[key] = use_large or optima.get(key, False)
+        if not use_large:
+            continue
+        record = record_of(memo, tour)
+        if 0 in record:
+            continue
+        if time.perf_counter() >= deadline:
+            break
+        if large_step(inst, tour, params.k_bs, deadline=deadline):
+            improved = True
+        elif time.perf_counter() < deadline:
+            record[0] = True
     return tour

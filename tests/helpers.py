@@ -49,6 +49,12 @@ def layer_widths(layers) -> tuple:
     return nodes, shapes
 
 
+def is_settled(record, n: int) -> bool:
+    """Whether a descent memo's ``record`` of a tour holds every pair's
+    step, each empty: the tour is a local optimum of the pair steps."""
+    return all(x in record and not record[x].indices for x in range(1, n + 1))
+
+
 def adjacent_pairs_tour(rng, inst: Instance) -> Tour:
     """A feasible tour where each pickup is followed by its own delivery
     with probability 0.7; the other deliveries come later, in random

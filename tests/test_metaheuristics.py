@@ -39,6 +39,7 @@ from helpers import (
     checked_insertion,
     euclid_instance,
     float_instance,
+    is_settled,
     random_feasible_tour,
 )
 
@@ -484,43 +485,47 @@ def _twin_case(k):
     return inst, params
 
 
-def _watch_optima(monkeypatch, search_wrapper):
+def _watch_memo(monkeypatch, search_wrapper):
     """Patches hgs_run's ``find_twin``, and its ``local_search`` with
-    ``search_wrapper(real_search, optima, *args, **kwargs)``, so that
-    ``seen["optima"]`` and ``seen["pop"]`` are the run's map and
+    ``search_wrapper(real_search, memo, *args, **kwargs)``, so that
+    ``seen["memo"]`` and ``seen["pop"]`` are the run's descent memo and
     population (the same objects for the whole run)."""
-    seen = {"optima": None, "pop": None}
+    seen = {"memo": None, "pop": None}
     real_find, real_search = metaheuristics.find_twin, metaheuristics.local_search
 
     def watching_find(pop, seq):
         seen["pop"] = pop
         return real_find(pop, seq)
 
-    def watching_search(*args, optima, **kwargs):
-        seen["optima"] = optima
-        return search_wrapper(real_search, optima, *args, **kwargs)
+    def watching_search(*args, memo, **kwargs):
+        seen["memo"] = memo
+        return search_wrapper(real_search, memo, *args, **kwargs)
 
     monkeypatch.setattr(metaheuristics, "find_twin", watching_find)
     monkeypatch.setattr(metaheuristics, "local_search", watching_search)
     return seen
 
 
-def _member_seqs(seen):
-    return {tuple(m.tour.seq) for m in seen["pop"] or ()}
+def _members_settled(seen, n, finished=None):
+    # Every member whose record the memo holds, of those in ``finished``
+    # if given, is a local optimum of the pair steps there.
+    for m in seen["pop"] or ():
+        if finished is None or id(m.tour) in finished:
+            record = seen["memo"].data.get(tuple(m.tour.seq))
+            assert record is None or is_settled(record, n)
 
 
 def test_hgs_optima_follow_the_trajectory_without_them(monkeypatch):
-    # The map of members' local optima skips pair steps and large steps
-    # that a finished descent proved empty, twins reuse a member's edge
-    # set and distances, and the breeding and pair-step memos read back
-    # mutations and pair steps the run already made. Runs without the
-    # memos, runs whose descents also never see the map, and runs that
-    # also find no twin must end the same, with the same random state.
-    # With no deadline every member's descent finishes, so the map holds
-    # exactly the members' sequences whenever a descent starts, and at
-    # the end. Each memo holds at most mu + lam keys after every descent.
+    # The descent memo skips the steps a run's descents already ran at a
+    # tour, twins reuse a member's edge set and distances, and the
+    # breeding memo reads back mutations the run already made. Runs
+    # without the memos, and runs that also find no twin, must end the
+    # same, with the same random state, and run no fewer steps. With no
+    # deadline every member's descent finishes, so whenever a descent
+    # starts, and at the end, each member's record the memo holds is
+    # settled. Each memo holds at most mu + lam keys after every descent.
     counts = Counter()
-    mode = ["map"]
+    mode = ["memo"]
     real_pair, real_large = search.pair_step, search.large_step
     real_mutate = metaheuristics.mutate_and_repair
     real_four = metaheuristics.four_opt_type1_any
@@ -540,19 +545,16 @@ def test_hgs_optima_follow_the_trajectory_without_them(monkeypatch):
 
     def mutate(inst, seq, *, memo):
         memos["bred"] = memo
-        if mode[0] != "map":
+        if mode[0] != "memo":
             return real_mutate(inst, seq)
         return real_mutate(inst, seq, memo=memo)
 
-    def descend(real_search, optima, *args, memo, **kwargs):
-        if mode[0] == "no memo":
-            return real_search(*args, optima=optima, **kwargs)
-        if mode[0] != "map":
+    def descend(real_search, memo, *args, **kwargs):
+        if mode[0] != "memo":
             return real_search(*args, **kwargs)
-        assert set(optima) == _member_seqs(seen)
-        assert len(optima) <= params.mu + params.lam
+        _members_settled(seen, args[0].n_pairs)
         memos["scanned"] = memo
-        out = real_search(*args, optima=optima, memo=memo, **kwargs)
+        out = real_search(*args, memo=memo, **kwargs)
         for m in memos.values():
             assert len(m) <= params.mu + params.lam
         return out
@@ -561,7 +563,7 @@ def test_hgs_optima_follow_the_trajectory_without_them(monkeypatch):
     monkeypatch.setattr(search, "large_step", counting_large)
     monkeypatch.setattr(metaheuristics, "four_opt_type1_any", counting_four)
     monkeypatch.setattr(metaheuristics, "mutate_and_repair", mutate)
-    seen = _watch_optima(monkeypatch, descend)
+    seen = _watch_memo(monkeypatch, descend)
     watching_find = metaheuristics.find_twin
 
     def find(pop, seq):
@@ -571,7 +573,7 @@ def test_hgs_optima_follow_the_trajectory_without_them(monkeypatch):
 
     monkeypatch.setattr(metaheuristics, "find_twin", find)
     runs = {}
-    for mode[0] in ("map", "no memo", "no map", "neither"):
+    for mode[0] in ("memo", "no memo", "neither"):
         for k in range(48):
             inst, params = _twin_case(k)
             seen["pop"] = None
@@ -581,24 +583,22 @@ def test_hgs_optima_follow_the_trajectory_without_them(monkeypatch):
             best = hgs_run(inst, params, rng, stats)
             del stats["ttb"]  # wall time
             runs[mode[0], k] = (best.cost, type(best.cost), best.seq, stats, rng.getstate())
-            if mode[0] == "map":
-                assert set(seen["optima"]) == _member_seqs(seen)
+            if mode[0] == "memo":
+                _members_settled(seen, inst.n_pairs)
     for k in range(48):
-        ref = runs["map", k]
-        assert runs["no memo", k] == runs["no map", k] == runs["neither", k] == ref, k
-    assert counts["map", "pair"] < counts["no memo", "pair"] < counts["no map", "pair"]
-    assert counts["map", "four"] < counts["no memo", "four"] == counts["no map", "four"]
-    assert counts["map", "large"] == counts["no memo", "large"]
-    assert counts["no memo", "large"] < counts["no map", "large"]
-    assert counts["map", "twin"] > 0
+        ref = runs["memo", k]
+        assert runs["no memo", k] == runs["neither", k] == ref, k
+    for step in ("pair", "large", "four"):
+        assert counts["memo", step] < counts["no memo", step] == counts["neither", step]
+    assert counts["memo", "twin"] > 0
 
 
 def test_descent_cut_by_the_deadline_never_settles_its_member(monkeypatch):
     # A fake clock passes the deadline at the start of every third
     # descent and goes back at the next twin lookup, so the run goes on
-    # with members whose descent was cut. A cut descent records nothing;
-    # one that finishes records its tour. The map holds only members'
-    # sequences, and every finished member's.
+    # with members whose descent was cut. A cut descent stores nothing;
+    # one that finishes leaves its tour settled in the memo, and so are
+    # the finished members' tours the memo still holds.
     now = [0.0]
     clock = SimpleNamespace(perf_counter=lambda: now[0])
     monkeypatch.setattr(metaheuristics, "time", clock)
@@ -606,26 +606,27 @@ def test_descent_cut_by_the_deadline_never_settles_its_member(monkeypatch):
     cut_known, finished = [], []
     descents = [0]
 
-    def cutting_search(real_search, optima, inst, tour, *args, **kwargs):
-        assert set(optima) <= _member_seqs(seen)
-        done = {id(t) for t in finished}
-        for m in seen["pop"] or ():
-            assert id(m.tour) not in done or tuple(m.tour.seq) in optima
-        before = dict(optima)
+    def snapshot(memo):
+        return [(key, dict(record)) for key, record in memo.data.items()]
+
+    def cutting_search(real_search, memo, inst, tour, *args, **kwargs):
+        _members_settled(seen, inst.n_pairs, {id(t) for t in finished})
+        before = snapshot(memo)
+        settled_before = is_settled(memo.data.get(tuple(tour.seq), {}), inst.n_pairs)
         descents[0] += 1
         if descents[0] % 3 == 0:
             now[0] = 2.0
-        real_search(inst, tour, *args, optima=optima, **kwargs)
+        real_search(inst, tour, *args, memo=memo, **kwargs)
         if now[0] > 1.0:
-            cut_known.append(tuple(tour.seq) in before)
-            assert optima == before
+            cut_known.append(settled_before)
+            assert snapshot(memo) == before
         else:
             finished.append(tour)
-            assert tuple(tour.seq) in optima
+            assert is_settled(memo.data[tuple(tour.seq)], inst.n_pairs)
         return tour
 
     real_find = metaheuristics.find_twin
-    seen = _watch_optima(monkeypatch, cutting_search)
+    seen = _watch_memo(monkeypatch, cutting_search)
 
     def rewinding_find(pop, seq):
         now[0] = 0.0
@@ -637,9 +638,65 @@ def test_descent_cut_by_the_deadline_never_settles_its_member(monkeypatch):
     params = HgsParams(mu=3, lam=4, tmax=1.0, max_no_improve=40)
     best = hgs_run(inst, params, random.Random(3))
     assert best.is_feasible()
-    # Some cut descents end at a tour the map does not hold.
+    # Some cut descents end at a tour the memo does not hold settled.
     assert cut_known.count(False) > 3 and len(finished) > 3
-    assert set(seen["optima"]) <= _member_seqs(seen)
+    _members_settled(seen, inst.n_pairs, {id(t) for t in finished})
+
+
+@pytest.mark.parametrize("cuts", [False, True])
+def test_hgs_memo_holds_only_real_step_results(monkeypatch, cuts):
+    # After a run, every pair result the descent memo holds equals a
+    # fresh pair step at that sequence, and every key 0 stands for a
+    # fresh large step that applies nothing there. With cuts, a fake
+    # clock passes the deadline after 3 to 18 clock reads in six of
+    # every seven descents, so sweeps and large steps alike are cut at
+    # varying points, and it goes back when the descent returns.
+    reads = [0, math.inf]  # clock reads in this descent, reads allowed
+
+    def perf_counter():
+        reads[0] += 1
+        return 2.0 if reads[0] > reads[1] else 0.0
+
+    clock = SimpleNamespace(perf_counter=perf_counter)
+    monkeypatch.setattr(metaheuristics, "time", clock)
+    monkeypatch.setattr(search, "time", clock)
+    cut = Counter()
+    real_large = search.large_step
+
+    def large(*args, **kwargs):
+        applied = real_large(*args, **kwargs)
+        cut["large"] += not applied and reads[0] > reads[1]
+        return applied
+
+    monkeypatch.setattr(search, "large_step", large)
+
+    def descend(real_search, memo, *args, **kwargs):
+        cut["started"] += 1
+        if cuts:
+            reads[:] = [0, cut["started"] % 7 * 3 or math.inf]
+        out = real_search(*args, memo=memo, **kwargs)
+        cut["descent"] += reads[0] > reads[1]
+        reads[1] = math.inf
+        return out
+
+    seen = _watch_memo(monkeypatch, descend)
+    audited = Counter()
+    for k in range(24):
+        inst, params = _twin_case(k)
+        if cuts:
+            params.tmax = 1.0
+        hgs_run(inst, params, random.Random(k))
+        for key, record in seen["memo"].data.items():
+            tour = Tour(inst, list(key))
+            for x, held in record.items():
+                if x == 0:
+                    assert not real_large(inst, tour.copy(), params.search.k_bs)
+                else:
+                    assert held == search.pair_step(inst, tour, x, params.search.k_or)
+                audited[x == 0, bool(x and held.indices)] += 1
+    assert audited[False, False] and audited[False, True] and audited[True, False]
+    # With cuts, some large steps are cut and apply nothing.
+    assert (cut["descent"] > 0) == (cut["large"] > 0) == cuts
 
 
 def test_hgs_time_budget_stops():

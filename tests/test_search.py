@@ -20,7 +20,7 @@ from pdtsp_kit.neighborhoods import (
 from pdtsp_kit.oracle import brute_force_optimal
 from pdtsp_kit.search import Lru, large_step, local_search, pair_step, phase_one_sweep
 from pdtsp_kit.tour import apply_move, tour_cost
-from helpers import euclid_instance, float_instance, random_feasible_tour
+from helpers import euclid_instance, float_instance, is_settled, random_feasible_tour
 
 
 def test_pair_step_apply_keeps_feasibility():
@@ -94,15 +94,12 @@ def test_float_costs_descend():
 
 
 def _rescan_descent(inst, tour, params, rng, use_large):
-    # The descent with fresh stamps each round: every round scans every pair.
-    n = inst.n_pairs
-    pairs = list(range(1, n + 1))
+    # The descent with a fresh memo each round: every round scans every pair.
+    pairs = list(range(1, inst.n_pairs + 1))
     improved = True
     while improved:
         rng.shuffle(pairs)
-        improved = phase_one_sweep(
-            inst, tour, pairs, params.k_or, stamps=[0] + [-1] * n
-        )
+        improved = phase_one_sweep(inst, tour, pairs, params.k_or, memo=Lru(1))
         if use_large and search.large_step(inst, tour, params.k_bs):
             improved = True
 
@@ -183,26 +180,42 @@ def _skipped_steps(plain_log, log):
     return skipped
 
 
+def _settled(memo, ends):
+    # A memo holding copies of the records at ``ends`` and nothing else.
+    settled = Lru(10_000)
+    for t in ends:
+        key = tuple(t.seq)
+        settled.put(key, dict(memo.data[key]))
+    return settled
+
+
 @pytest.mark.parametrize("mode", ["closed", "open"])
 @pytest.mark.parametrize("build", [euclid_instance, float_instance])
 @pytest.mark.parametrize("use_large", [None, False, True])
 def test_settled_descent_skips_only_empty_pair_steps(monkeypatch, mode, build, use_large):
-    # A descent that starts at, or reaches, a tour in ``optima`` (one an
-    # earlier descent finished at) may skip the pair steps there, and the
-    # large step if flagged, and nothing else. It records its own end.
+    # A descent that starts at, or reaches, a tour where an earlier
+    # descent sharing its memo finished may skip the pair steps there,
+    # and the large step if the record holds the key 0, and nothing
+    # else. Each descent leaves every pair step at its end in the memo,
+    # empty, and the key 0 if it ran the large phase. The memo the
+    # checked descent gets holds only the earlier ends' records, so
+    # every step it skips is one a finished descent proved empty.
     # Even seeds start at such a tour, odd ones at a random tour.
     params = SearchParams(p_large=0.5)
     log = _spy_steps(monkeypatch)
     skipped = Counter()
     for seed in range(12):
         inst = build(random.Random(950 + seed), 4 + seed % 3, mode=mode)
-        optima = {}
+        n = inst.n_pairs
+        shared = Lru(10_000)
         ends = []
         for k in range(8):
             tour = random_feasible_tour(random.Random(10 * seed + k), inst)
-            local_search(inst, tour, params, random.Random(k), k % 2 == 0, optima=optima)
+            local_search(inst, tour, params, random.Random(k), k % 2 == 0, memo=shared)
             ends.append(tour)
-        assert set(optima) == {tuple(t.seq) for t in ends}
+            record = shared.data[tuple(tour.seq)]
+            assert is_settled(record, n)
+            assert (0 in record) >= (k % 2 == 0)
         if seed % 2:
             start = random_feasible_tour(random.Random(100 + seed), inst)
         else:
@@ -212,9 +225,10 @@ def test_settled_descent_skips_only_empty_pair_steps(monkeypatch, mode, build, u
         local_search(inst, plain, params, rng_plain, use_large)
         plain_log = log[:]
         got, rng = start.copy(), random.Random(100 + seed)
-        known = dict(optima)
+        known = _settled(shared, ends)
+        before = {key: set(record) for key, record in known.data.items()}
         del log[:]
-        local_search(inst, got, params, rng, use_large, optima=known)
+        local_search(inst, got, params, rng, use_large, memo=known)
         assert got.seq == plain.seq
         assert got.cost == plain.cost
         assert type(got.cost) is type(plain.cost)
@@ -223,18 +237,20 @@ def test_settled_descent_skips_only_empty_pair_steps(monkeypatch, mode, build, u
             skipped[seed % 2, step == 0] += 1
         steps = [step for step, _, _ in log]
         if seed % 2 == 0:
-            # From a mapped tour no pair step runs before a large step,
-            # and nothing runs if its flag says the large step is empty.
+            # From a settled tour no pair step runs before a large step,
+            # and nothing runs if its record says the large step is empty.
             assert steps[:1] in ([], [0])
-            assert not (steps and optima[tuple(start.seq)])
+            assert not (steps and 0 in before[tuple(start.seq)])
             if not steps:
                 assert got.seq == start.seq
         key = tuple(got.seq)
-        assert set(known) == set(optima) | {key}
+        assert set(before) <= set(known.data)
+        record = known.data[key]
+        assert is_settled(record, n)
         large_ran = any(step == 0 for step, _, _ in plain_log)
         if use_large is not None:
-            assert known[key] == (use_large or optima.get(key, False))
-        assert known[key] >= large_ran
+            assert (0 in record) == (use_large or 0 in before.get(key, ()))
+        assert (0 in record) >= large_ran
     assert skipped[0, False] and skipped[1, False]
     if use_large is not False:
         assert skipped[0, True] and skipped[1, True]
@@ -261,13 +277,14 @@ def test_lru_drops_the_least_recently_used_key():
 def test_memo_descent_reads_back_the_pair_steps_of_earlier_ones(
     monkeypatch, mode, build, use_large
 ):
-    # One descent never meets a (pair, tour) twice: its cost falls with
-    # every move, and stamps skip the steps it already ran at a tour. So
-    # a descent with a fresh memo runs the plain descent's steps, and a
-    # second one from the same start reads every pair step back. Those,
-    # one that takes the pairs in another order with the same memo, and
-    # one whose memo holds a single key, return what the plain descent
-    # with their seed returns, with the same random draws.
+    # One descent never meets a tour twice: its cost falls with every
+    # move. So a descent with a fresh memo runs the plain descent's
+    # steps, and a second one from the same start reads every pair step
+    # back and skips every large step that found nothing, whose record
+    # holds the key 0: it runs only the large steps that applied a move.
+    # Those, one that takes the pairs in another order with the same
+    # memo, and one whose memo holds a single key, return what the
+    # plain descent with their seed returns, with the same random draws.
     params = SearchParams()
     log = _spy_steps(monkeypatch)
     for seed in range(8):
@@ -282,10 +299,10 @@ def test_memo_descent_reads_back_the_pair_steps_of_earlier_ones(
         plain_log = plain[seed][-1]
         assert any(step for step, _, _ in plain_log)
         memo = Lru(10_000)
-        large_only = [entry for entry in plain_log if entry[0] == 0]
+        applied_large = [entry for entry in plain_log if entry[0] == 0 and entry[2]]
         for memo_used, s, runs in (
             (memo, seed, plain_log),
-            (memo, seed, large_only),
+            (memo, seed, applied_large),
             (memo, seed + 100, None),
             (Lru(1), seed, plain_log),
         ):
@@ -342,8 +359,7 @@ def test_descent_stops_at_deadline_before_large_step(monkeypatch):
     rng.setstate(state)
     pairs = list(range(1, inst.n_pairs + 1))
     rng.shuffle(pairs)
-    stamps = [0] + [-1] * inst.n_pairs
-    assert phase_one_sweep(inst, ref, pairs, 30, stamps=stamps)
+    assert phase_one_sweep(inst, ref, pairs, 30, memo=Lru(1))
     assert tour.seq == ref.seq
     assert tour.cost == ref.cost
 
@@ -375,6 +391,50 @@ def test_large_step_skips_kernels_after_deadline(monkeypatch):
     apply_move(inst, ref, move)
     assert tour.seq == ref.seq
     assert tour.cost == ref.cost
+
+
+def test_large_step_cut_by_the_deadline_leaves_no_flag(monkeypatch):
+    # A fake clock passes the deadline as soon as nested 2-opt returns,
+    # so 4-opt and BS are skipped. Each start is a tour no pair step or
+    # nested 2-opt improves, so the descent's one large step applies
+    # nothing, yet it proved nothing: the record must lack the key 0,
+    # and a later descent at that tour with the same memo and no
+    # deadline must run the large step there.
+    now = [0.0]
+    monkeypatch.setattr(search, "time", SimpleNamespace(perf_counter=lambda: now[0]))
+
+    def two_k_then_late(*args):
+        move = two_k_opt_best(*args)
+        now[0] = 1.0
+        return move
+
+    monkeypatch.setattr(search, "two_k_opt_best", two_k_then_late)
+    log = _spy_steps(monkeypatch)
+    params = SearchParams()
+    cut = 0
+    for seed in range(16):
+        rng = random.Random(seed)
+        inst = euclid_instance(rng, 6 + seed % 3, mode=("closed", "open")[seed % 2])
+        start = random_feasible_tour(rng, inst)
+        local_search(inst, start, params, rng, use_large=False)
+        if two_k_opt_best(inst, start).indices:
+            continue
+        cut += 1
+        key = tuple(start.seq)
+        memo = Lru(10)
+        now[0] = 0.0
+        tour = start.copy()
+        del log[:]
+        local_search(inst, tour, params, rng, True, deadline=1.0, memo=memo)
+        assert [entry for entry in log if entry[0] == 0] == [(0, key, False)]
+        assert tour.seq == start.seq
+        record = memo.data[key]
+        assert is_settled(record, inst.n_pairs)
+        assert 0 not in record
+        del log[:]
+        local_search(inst, tour, params, rng, True, memo=memo)
+        assert log[0][:2] == (0, key)
+    assert cut >= 4
 
 
 def test_large_step_applies_the_first_of_the_cheapest_kernel_moves():
