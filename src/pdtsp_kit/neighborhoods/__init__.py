@@ -23,10 +23,11 @@ from .balas_simonetti import bs_best, bs_optimize
 class SearchParams:
     """Tuning knobs shared by the local search and the metaheuristics.
 
-    ``k_or`` caps or-opt segment length, ``k_bs`` sets the
-    Balas-Simonetti window (1 disables it, widths grow exponentially so
-    12 is a hard cap), and ``p_large`` is the chance a descent enables
-    the large neighborhoods.
+    ``k_or`` caps or-opt segment length; segments start at two visits,
+    since pair relocation covers single ones, so ``k_or = 1`` leaves
+    or-opt with no candidates. ``k_bs`` sets the Balas-Simonetti window
+    (1 disables it, widths grow exponentially so 12 is a hard cap), and
+    ``p_large`` is the chance a descent enables the large neighborhoods.
     """
 
     k_or: int = 30

@@ -82,23 +82,21 @@ def two_opt_oracle(inst: Instance, tour: Tour, i: int):
 
 
 def or_opt_oracle(inst: Instance, tour: Tour, a: int, k_or: int) -> MoveDelta:
-    """Best improving segment relocation by full realization, same
-    candidate order. Slot a - 1, where the segment stood, is skipped:
-    unreversed it is the identity, and reversed it repeats the tour of
-    a shorter segment's candidate at slot a."""
+    """Best improving relocation of a segment of 2..k_or visits by full
+    realization, same candidate order. Slot a - 1, where the segment
+    stood, is skipped: unreversed it is the identity, and reversed it
+    repeats the tour of a shorter segment's move at slot a."""
     seq = tour.seq
     n2 = 2 * inst.n_pairs
     best = MoveDelta("or-opt", (), 0)
     best_d = -inst.eps
-    for length in range(1, min(k_or, n2 - a + 1) + 1):
+    for length in range(2, min(k_or, n2 - a + 1) + 1):
         seg = seq[a : a + length]
         rho = seq[:a] + seq[a + length :]
         for t in range(len(rho) - 1):
             if t == a - 1:
                 continue
             for rev in (False, True):
-                if rev and length == 1:
-                    continue
                 chunk = seg[::-1] if rev else seg
                 new = rho[: t + 1] + chunk + rho[t + 1 :]
                 if check_precedence(inst, new):

@@ -1,8 +1,25 @@
 """Or-opt: relocate a short segment, optionally reversed.
 
-Segments start at a fixed anchor position a and grow one visit at a
-time up to k_or visits. The tour must be precedence-feasible; every
-caller holds a feasible tour when it scans.
+Segments start at a fixed anchor position a and hold 2 to k_or visits,
+so k_or = 1 leaves no candidate. The tour must be precedence-feasible;
+every caller holds a feasible tour when it scans.
+
+A single visit is left to pair relocation. The pair step of pair x
+scans or-opt only at the positions of x and x+n, where a single-visit
+segment moves one visit of x and leaves the other in place. Relocating
+x lists that tour too, since it prices every joint reinsertion of x and
+x+n, the other visit's old slot included. On integer costs both
+deltas are that tour's exact cost change d. Relocation runs first and
+the running best only falls, so it is at most d when or-opt runs, and
+a scan result replaces it only if strictly cheaper. A single-visit
+candidate that won the scan therefore lost the step, and so does what
+the scan returns without it, whose delta is at least d. Any other
+result was the first strict minimum of the longer segments in their
+order, and still is. So no pair step's result changes. On float costs
+the two deltas of one tour may differ in their last bits, so a step
+that a single visit won may now take relocation's move to the same
+tour (or 2-opt's, which lists swaps of two adjacent visits), or, where
+rounding decides between tours of near-equal cost, another tour.
 
 Feasible slots form a contiguous range lo..hi of the sequence with the
 segment removed. The segment must land after the last outside pickup
@@ -23,9 +40,10 @@ The reversed candidate's cost from a slot's left end u to the tail is
 read as w[tail][u], equal to w[u][tail] since costs are symmetric.
 Slot a-1, the bridge (seq[a-1], seq[a+L]) left by the removal, is
 never a candidate. Reinserting the segment there unreversed is the
-identity. Reversed, it gives the tour of the length L-1 candidate at
-slot a (reversed for L >= 3, forward for L = 2), which is listed
-earlier and is feasible whenever the reversal is.
+identity. Reversed, for L >= 3, it gives the tour of the length L-1
+candidate at slot a, reversed, which is listed earlier and is feasible
+whenever the reversal is. For L = 2 it swaps the head and the tail: a
+single-visit move, which relocation lists.
 
 Candidates are visited by length, then slot, then forward before
 reversed, and the first strict minimum below ``-inst.eps`` wins.
@@ -64,8 +82,9 @@ feasible slots left after the length bound below; below that, pricing
 every slot is cheaper than gathering candidates. Of 0, 16, 24 and 40,
 16 and 0 were fastest on locally optimal n = 50 and n = 200 tours, and
 0 cost 15-20% on n = 10 tours, where 16 never screens. The widest
-length has 2n - 2 slots, so tours of 9 pairs or fewer take the full
-loop only.
+length has 2n - 2 slots, reached by two visits that form a whole pair
+and may land anywhere, so tours of 9 pairs or fewer take the full loop
+only.
 
 Float costs need no slack in these comparisons, although computed
 deltas carry rounding error (several e-8 at a span of 1e7). Rounding
@@ -93,12 +112,14 @@ added in the scan's order, or the forward one where reversal is not
 allowed. Rounding to nearest is monotone, so every candidate on a side
 computes a delta of at least k - M as computed; where that is no
 better than the running best, the side is dropped, and a length with
-both sides dropped prices nothing.
+both sides dropped ends before it reads the tail's cost row. Its
+d_rem needs one matrix read, w(p,nx): w(p,h) is read once per scan,
+and w(t,nx) is the tour edge edge[end-1].
 
 The bound runs only where the screen can: on tours of 10 pairs or more,
 whose widest length has more than ``SCREEN_WIDTH`` slots. In one round
-of the benchmark's hgs-closed workload (n = 50) it drops 60% of the
-lengths whole and one side of 21% more. Run on every tour, it made the
+of the benchmark's hgs-closed workload (n = 50) it drops 56% of the
+lengths whole and one side of 15% more. Run on every tour, it made the
 small-exact workload, 5-8 pairs, about 8% slower.
 
 Each visit's neighbor list holds the other visit ids in order of cost,
@@ -177,7 +198,7 @@ def edge_index(near: list, w: list, seq: list, edge: list) -> list:
 
 
 def or_opt_scan(inst: Instance, tour: Tour, a: int, k_or: int) -> MoveDelta:
-    """Best improving segment move among lengths 1..k_or starting at
+    """Best improving segment move among lengths 2..k_or starting at
     position a, or the empty move.
 
     An improving move has indices (a, length, t, reversed), where slot t
@@ -193,6 +214,7 @@ def or_opt_scan(inst: Instance, tour: Tour, a: int, k_or: int) -> MoveDelta:
     head = seq[a]
     wp = w[prev]
     wh = w[head]
+    w_ph = wp[head]
     # The length bound and the screen engage on the same tours: those
     # whose widest length, 2n - 2 slots, is wide.
     bound = n2 - 2 > SCREEN_WIDTH
@@ -215,10 +237,15 @@ def or_opt_scan(inst: Instance, tour: Tour, a: int, k_or: int) -> MoveDelta:
     best_d = -inst.eps
     best_len = best_t = 0
     best_rev = False
-    lo = 0
-    pending: list = []
+    # The head alone: a delivery sets lo, a pickup's delivery is pending.
+    if head > n:
+        lo = pos[head - n]
+        pending: list = []
+    else:
+        lo = 0
+        pending = [pos[head + n]]
     whole_pair = False
-    for length in range(1, min(k_or, n2 - a + 1) + 1):
+    for length in range(2, min(k_or, n2 - a + 1) + 1):
         end = a + length
         tail = seq[end - 1]
         if tail > n:
@@ -235,10 +262,10 @@ def or_opt_scan(inst: Instance, tour: Tour, a: int, k_or: int) -> MoveDelta:
         hi = pending[0] - length - 1 if pending else n2 - length
 
         nxt = seq[end]
-        wt = w[tail]
-        gain = wp[nxt] - wp[head]
-        d_rem = gain - wt[nxt]
-        can_rev = length > 1 and not whole_pair
+        w_tn = edge[end - 1]
+        gain = wp[nxt] - w_ph
+        d_rem = gain - w_tn
+        can_rev = not whole_pair
 
         # first..hi are the slots still to price, a - 1 excepted.
         first = lo
@@ -251,22 +278,25 @@ def or_opt_scan(inst: Instance, tour: Tour, a: int, k_or: int) -> MoveDelta:
             if k - pre_left >= best_d:
                 first = a - 1
             if k - suf[end] >= best_d:
+                if first == a - 1:
+                    # Neither side has a slot left to price.
+                    continue
                 hi = a - 1
+        wt = w[tail]
 
         if hi - first > SCREEN_WIDTH:
             if idx is None:
                 idx = state[3] = edge_index(near, w, seq, edge)
             if gain >= 0:
-                r = wt[nxt]
                 cand = idx[tail][:]
                 for u in near[head]:
-                    if wh[u] >= r:
+                    if wh[u] >= w_tn:
                         break
                     cand.append(pos[u])
                 if can_rev:
                     cand += idx[head]
                     for u in near[tail]:
-                        if wt[u] >= r:
+                        if wt[u] >= w_tn:
                             break
                         cand.append(pos[u])
                 cand.sort()
@@ -294,30 +324,32 @@ def or_opt_scan(inst: Instance, tour: Tour, a: int, k_or: int) -> MoveDelta:
                             best_d, best_len, best_t, best_rev = d, length, t, True
                 continue
 
-        u = seq[first]
-        for t in range(first, a - 1):
-            v = seq[t + 1]
-            base = edge[t]
-            d = d_rem + wh[u] + wt[v] - base
-            if d < best_d:
-                best_d, best_len, best_t, best_rev = d, length, t, False
-            if can_rev:
-                d = d_rem + wt[u] + wh[v] - base
+        if first < a - 1:
+            u = seq[first]
+            for t in range(first, a - 1):
+                v = seq[t + 1]
+                base = edge[t]
+                d = d_rem + wh[u] + wt[v] - base
                 if d < best_d:
-                    best_d, best_len, best_t, best_rev = d, length, t, True
-            u = v
-        u = nxt
-        for t in range(a, hi + 1):
-            v = seq[t + length + 1]
-            base = edge[t + length]
-            d = d_rem + wh[u] + wt[v] - base
-            if d < best_d:
-                best_d, best_len, best_t, best_rev = d, length, t, False
-            if can_rev:
-                d = d_rem + wt[u] + wh[v] - base
+                    best_d, best_len, best_t, best_rev = d, length, t, False
+                if can_rev:
+                    d = d_rem + wt[u] + wh[v] - base
+                    if d < best_d:
+                        best_d, best_len, best_t, best_rev = d, length, t, True
+                u = v
+        if hi >= a:
+            u = nxt
+            for t in range(a, hi + 1):
+                v = seq[t + length + 1]
+                base = edge[t + length]
+                d = d_rem + wh[u] + wt[v] - base
                 if d < best_d:
-                    best_d, best_len, best_t, best_rev = d, length, t, True
-            u = v
+                    best_d, best_len, best_t, best_rev = d, length, t, False
+                if can_rev:
+                    d = d_rem + wt[u] + wh[v] - base
+                    if d < best_d:
+                        best_d, best_len, best_t, best_rev = d, length, t, True
+                u = v
 
     if best_len == 0:
         return MoveDelta("or-opt", (), 0)

@@ -31,12 +31,14 @@ def two_opt_scan(inst: Instance, tour: Tour, i: int) -> MoveDelta:
     best_d = -inst.eps
     best_j = 0
     wi = w[seq[i]]
+    wi1 = w[seq[i + 1]]
     ci = wi[seq[i + 1]]
     for j in range(i + 3, top + 1):
         v = seq[j - 1]
         if v > n and pos[v - n] > i:
             break
-        d = wi[v] + w[seq[i + 1]][seq[j]] - ci - w[v][seq[j]]
+        y = seq[j]
+        d = wi[v] + wi1[y] - ci - w[v][y]
         if d < best_d:
             best_d, best_j = d, j
     if best_j:

@@ -102,18 +102,20 @@ def or_opt_range(inst: Instance, tour: Tour, a: int, length: int):
     return lo, hi, can_rev
 
 
-def or_opt_full_pricing(inst: Instance, tour: Tour, a: int, k_or: int):
+def or_opt_full_pricing(inst: Instance, tour: Tour, a: int, k_or: int, shortest=2):
     """(indices, delta) of or-opt's best improving move, every feasible
     slot but a - 1 priced with ``or_opt_scan``'s arithmetic and in its
     order.
 
     The reference for the scan's gain screen: the same floats, so equal
-    results are required even where rounding decides.
+    results are required even where rounding decides. ``shortest=1``
+    also prices single-visit segments, as or-opt once did, for the
+    reference pair step that shows they never win one.
     """
     seq = tour.seq
     w = inst.work_cost()
     best_d, best = -inst.eps, ()
-    for length in range(1, min(k_or, 2 * inst.n_pairs - a + 1) + 1):
+    for length in range(shortest, min(k_or, 2 * inst.n_pairs - a + 1) + 1):
         end = a + length
         lo, hi, can_rev = or_opt_range(inst, tour, a, length)
         p, h, t, nx = seq[a - 1], seq[a], seq[end - 1], seq[end]

@@ -376,7 +376,9 @@ def _or_opt_sweep(inst, tour, order):
 def test_sweep_time_scales_quadratically():
     # Each repetition times all three sizes back to back, and each size
     # keeps its fastest sweep of each kind, so a slow spell of the host
-    # falls on every size alike instead of on one of them.
+    # falls on every size alike instead of on one of them. Sweeps are
+    # timed in process CPU time, which time spent running other
+    # processes does not inflate.
     sweeps = (_relocate_and_two_opt_sweep, _or_opt_sweep)
     cases = []
     for n in (128, 256, 512):
@@ -394,9 +396,9 @@ def test_sweep_time_scales_quadratically():
         for _ in range(5):
             for k, (inst, tour, order) in enumerate(cases):
                 for s, sweep in enumerate(sweeps):
-                    t0 = time.perf_counter()
+                    t0 = time.process_time()
                     sweep(inst, tour, order)
-                    best[s][k] = min(best[s][k], time.perf_counter() - t0)
+                    best[s][k] = min(best[s][k], time.process_time() - t0)
     finally:
         gc.enable()
     quad, oropt = ([b / a for a, b in zip(row, row[1:])] for row in best)

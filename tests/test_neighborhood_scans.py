@@ -269,7 +269,8 @@ def test_or_opt_never_returns_the_slot_it_left(floats):
 def test_or_opt_reversal_in_place_repeats_a_shorter_candidate(mode):
     # Reversed at slot a - 1, a segment of L visits gives the tour of
     # its first L - 1 visits moved to slot a (reversed unless L = 2),
-    # and that slot is feasible for them whenever the reversal is.
+    # and that slot is feasible for them whenever the reversal is. For
+    # L = 2 that is a single-visit move, which pair relocation lists.
     rng = random.Random(43)
     for n in (2, 4, 7):
         inst = euclid_instance(rng, n, mode=mode)
@@ -288,11 +289,28 @@ def test_or_opt_reversal_in_place_repeats_a_shorter_candidate(mode):
                     assert flipped.seq == moved.seq
 
 
+@pytest.mark.parametrize("floats", [False, True])
+def test_or_opt_lists_no_single_visit_segment(floats):
+    # Pair relocation lists every single-visit move of a pair step, so
+    # or-opt starts at two visits: at k_or = 1 it has no candidate. The
+    # old pricing, which starts at one visit, finds improving
+    # single-visit moves on these tours, so the scan had some to drop.
+    singles = 0
+    for inst, tour in build_states(45, (2, 3, 6, 12), floats=floats):
+        for a in range(1, 2 * inst.n_pairs + 1):
+            assert or_opt_scan(inst, tour, a, 1) == MoveDelta("or-opt", (), 0)
+            for k_or in (2, 3, 30):
+                assert or_opt_scan(inst, tour, a, k_or).indices[1:2] != (1,)
+            old, _ = or_opt_full_pricing(inst, tour, a, 30, shortest=1)
+            singles += old[1:2] == (1,)
+    assert singles > 20
+
+
 # ---------------------------------------------------------------------------
 # Or-opt's gain screen engages only on lengths with more than
 # SCREEN_WIDTH feasible slots. The widest length has 2n - 2 of them (a
-# lone pickup waits for its delivery, and a longer segment takes its
-# own length off the end), so these tours have 10 pairs or more.
+# segment holding one whole pair may land anywhere but where it
+# stands), so these tours have 10 pairs or more.
 
 
 def random_matrix_instance(rng, n, mode, top):
@@ -521,23 +539,21 @@ def test_length_bound_never_runs_below_ten_pairs(n):
 
 
 def test_length_bound_keeps_the_zero_cost_edge_into_the_terminal():
-    # Visits on a line in tour order, but for the last pickup's delivery,
-    # placed far out and visited second to last. Its one improving slot
-    # is the edge into the open terminal, which costs 0 although every
-    # real visit is far from it: a bound that priced that edge at the
-    # nearest real visit would drop the slot, and the scan would take
-    # the same tour from a longer segment instead.
+    # Visits on a line in tour order, but for the segment (19, 20) of
+    # two deliveries, which is visited before 18 and whose tail 20 lies
+    # far out. The segment's one improving slot is the edge into the
+    # open terminal, which costs 0 although every real visit is far
+    # from 20: a bound that priced that edge at the nearest real visit
+    # would drop the slot, and the scan would find nothing there.
     n = 10
-    seq = list(range(2 * n - 1)) + [2 * n, 2 * n - 1]
+    seq = list(range(2 * n - 2)) + [2 * n - 1, 2 * n, 2 * n - 2]
     x = {v: i for i, v in enumerate(seq)}
     x[2 * n] = 1000
     cost = [[abs(x[i] - x[j]) for j in range(2 * n + 1)] for i in range(2 * n + 1)]
     inst = Instance(n, cost, mode="open", name="far-delivery")
     tour = Tour(inst, seq + [inst.end])
-    a = 2 * n - 1
-    assert or_opt_scan(inst, tour, a, 30) == MoveDelta(
-        "or-opt", (a, 1, a, False), 2 * n - 1000
-    )
+    a = 2 * n - 2
+    assert or_opt_scan(inst, tour, a, 30) == MoveDelta("or-opt", (a, 2, a, False), -976)
     for a in range(1, 2 * n + 1):
         mv = or_opt_scan(inst, tour, a, 30)
         assert (mv.indices, mv.delta) == oracle_result(inst, tour, a, 30)

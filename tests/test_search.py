@@ -7,6 +7,7 @@ from collections import Counter
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import pdtsp_kit.search as search
 from pdtsp_kit.instance import Instance
@@ -15,12 +16,20 @@ from pdtsp_kit.neighborhoods import (
     SearchParams,
     bs_best,
     four_opt_best,
+    relocate_pair_best,
     two_k_opt_best,
+    two_opt_scan,
 )
 from pdtsp_kit.oracle import brute_force_optimal
 from pdtsp_kit.search import Lru, large_step, local_search, pair_step, phase_one_sweep
-from pdtsp_kit.tour import apply_move, tour_cost
-from helpers import euclid_instance, float_instance, is_settled, random_feasible_tour
+from pdtsp_kit.tour import MoveDelta, apply_move, tour_cost
+from helpers import (
+    euclid_instance,
+    float_instance,
+    is_settled,
+    or_opt_full_pricing,
+    random_feasible_tour,
+)
 
 
 def test_pair_step_apply_keeps_feasibility():
@@ -35,6 +44,56 @@ def test_pair_step_apply_keeps_feasibility():
                 apply_move(inst, tour, mv)
                 assert tour.is_feasible()
                 assert tour.cost == tour_cost(inst, tour.seq)
+
+
+def pair_step_with_single_visits(inst, tour, x, k_or):
+    """``pair_step`` with or-opt priced in full from segments of one
+    visit, as it was before single-visit segments were dropped."""
+    best = relocate_pair_best(inst, tour, x)
+    for anchor in (x, x + inst.n_pairs):
+        i = tour.pos[anchor]
+        m = two_opt_scan(inst, tour, i)
+        if m.delta < best.delta:
+            best = m
+        indices, delta = or_opt_full_pricing(inst, tour, i, k_or, shortest=1)
+        if delta < best.delta:
+            best = MoveDelta("or-opt", indices, delta)
+    return best
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    n=st.integers(3, 14),
+    mode=st.sampled_from(["closed", "open"]),
+    floats=st.booleans(),
+    span=st.sampled_from([3, 100]),
+    k_or=st.sampled_from([1, 2, 3, 30]),
+)
+def test_single_visit_segments_never_win_a_pair_step(seed, n, mode, floats, span, k_or):
+    # Relocating pair x lists every tour a single-visit segment at x's
+    # positions gives, and runs first. On integer costs both price such
+    # a tour exactly, so or-opt's single-visit candidates never beat
+    # the running best: the step is the same move. On floats the two
+    # deltas may differ in their last bits, so the kind may switch, but
+    # the tour after the step is the same. The steps are applied, to
+    # reach the near-optimal tours where few moves improve.
+    rng = random.Random(seed)
+    build = float_instance if floats else euclid_instance
+    inst = build(rng, n, mode=mode, span=span)
+    tour = random_feasible_tour(rng, inst)
+    for _ in range(3):
+        for x in rng.sample(range(1, n + 1), n):
+            got = pair_step(inst, tour, x, k_or)
+            ref = pair_step_with_single_visits(inst, tour, x, k_or)
+            if not floats:
+                assert got == ref, (x, tour.seq)
+            assert bool(got.indices) == bool(ref.indices)
+            if got.indices:
+                other = tour.copy()
+                apply_move(inst, other, ref)
+                apply_move(inst, tour, got)
+                assert tour.seq == other.seq, (x, got, ref)
 
 
 def test_descent_reaches_local_optimum():
