@@ -15,8 +15,14 @@ The population keeps its distance matrix and each member's two nearest
 distances up to date as members enter and leave, as HGS-CVRP keeps its
 proximity lists (Vidal 2022): an entering member updates every other
 member's pair in O(1), and a leaving one sends back to a full sort only
-the rows whose pair it may have been part of. Ranking then reads two
-floats per member instead of sorting every row.
+the rows whose pair it changes. A row whose pair survives the removal
+keeps it, as most rows of clones, with several 0.0 distances, do.
+Ranking then reads two floats per member instead of sorting every row.
+Survivor selection ranks cost and diversity once per trim and keeps
+both rankings across its removals, ranking diversity again only after a
+removal that changed some pair. Both sorts are stable, and a removal
+keeps the order of the members that remain, so the kept ranks are the
+ones a new sort would give.
 
 A tour whose sequence equals a current member's, a twin, takes the
 member's edge set and distance row instead of one Jaccard distance per
@@ -353,16 +359,42 @@ def join_neighbors(dist, near, row) -> None:
     dist.append(row)
 
 
-def leave_neighbors(dist, near, k) -> None:
+def leave_neighbors(dist, near, k) -> bool:
     """Drops member ``k`` from ``dist`` and ``near`` (see
-    ``join_neighbors``). Only rows whose two nearest may have included
-    ``k`` are sorted again; the zero diagonal sorts first, so the two
-    entries after it are the two closest others."""
+    ``join_neighbors``) and reports whether any other member's pair
+    changed.
+
+    A row is sorted again only when its pair changes. Removing a
+    distance above ``nb[1]`` keeps the pair, and removing one below it
+    takes away ``nb[0]``, whose only copy it was. Removing a distance
+    equal to ``nb[1]`` keeps the pair exactly when the row still holds,
+    off the diagonal, as many copies of ``nb[1]`` as ``nb`` does; clones
+    hold several 0.0 distances, so most of their rows keep it. A sorted
+    row starts with its zero diagonal, so the two entries after it are
+    the two closest others.
+    """
     dist.pop(k)
     near.pop(k)
+    changed = False
     for row, nb in zip(dist, near):
-        if row.pop(k) <= nb[1]:
-            nb[:] = (sorted(row)[1:3] + [math.inf, math.inf])[:2]
+        d = row.pop(k)
+        if d > nb[1]:
+            continue
+        if d == nb[1] and row.count(d) - (d == 0.0) >= 1 + (nb[0] == d):
+            continue
+        nb[:] = (sorted(row)[1:3] + [math.inf, math.inf])[:2]
+        changed = True
+    return changed
+
+
+def ranks_of(values, reverse: bool = False) -> list:
+    """Zero-based rank of each entry in a stable sort of ``values``,
+    descending if ``reverse``; ties go to the smaller index."""
+    p = len(values)
+    ranks = [0] * p
+    for r, i in enumerate(sorted(range(p), key=values.__getitem__, reverse=reverse)):
+        ranks[i] = r
+    return ranks
 
 
 def biased_fitness(costs, contrib, mu_elite: int = 1) -> list:
@@ -371,20 +403,51 @@ def biased_fitness(costs, contrib, mu_elite: int = 1) -> list:
     ``contrib[i]`` is member i's diversity contribution, the mean
     distance to its two closest other members; it is ranked descending
     so distinct solutions score low. Ties go to the smaller index in
-    both ranks. Needs at least three individuals to have two neighbors
-    each.
+    both ranks. The fitness list starts as the cost ranks (``ranks_of``,
+    which survivor selection shares) and adds each member's diversity
+    rank, times ``1 - mu_elite / p``, as the sort lists it. Needs at
+    least three individuals to have two neighbors each.
     """
     p = len(costs)
     if p < 3:
         raise ValueError("population must hold at least 3 individuals")
-    rc = [0] * p
-    for r, i in enumerate(sorted(range(p), key=costs.__getitem__)):
-        rc[i] = r
-    rd = [0] * p
-    for r, i in enumerate(sorted(range(p), key=contrib.__getitem__, reverse=True)):
-        rd[i] = r
+    fit = ranks_of(costs)
     coef = 1.0 - mu_elite / p
-    return [rc[i] + coef * rd[i] for i in range(p)]
+    for r, i in enumerate(sorted(range(p), key=contrib.__getitem__, reverse=True)):
+        fit[i] += coef * r
+    return fit
+
+
+def select_survivors(costs, dist, near, mu: int, mu_elite: int) -> list:
+    """Removes members until ``mu`` remain and returns their indices,
+    each as it was at its removal, in the order they left.
+
+    Each removal takes the member of worst biased fitness (the first on
+    ties) outside the ``mu_elite`` cheapest and drops it from ``dist``
+    and ``near`` with ``leave_neighbors``; ``costs`` is only read. Cost
+    and diversity are ranked once per call. A removal drops the member's
+    two ranks and lowers every rank above them by one: both sorts are
+    stable, and a removal keeps the relative order of the members that
+    remain, so these are the ranks a new sort would give. Diversity is
+    ranked again only when ``leave_neighbors`` reports a changed pair;
+    otherwise every contribution is the same float as before.
+    """
+    rc = ranks_of(costs)
+    rd = ranks_of([(a + b) / 2 for a, b in near], reverse=True)
+    removed = []
+    while len(rc) > mu:
+        coef = 1.0 - mu_elite / len(rc)
+        # The elites, cost ranks below mu_elite, are never the worst.
+        fit = [a + coef * b if a >= mu_elite else -math.inf for a, b in zip(rc, rd)]
+        k = fit.index(max(fit))
+        removed.append(k)
+        c, d = rc.pop(k), rd.pop(k)
+        rc = [r - (r > c) for r in rc]
+        if leave_neighbors(dist, near, k):
+            rd = ranks_of([(a + b) / 2 for a, b in near], reverse=True)
+        else:
+            rd = [r - (r > d) for r in rd]
+    return removed
 
 
 class _Member:
@@ -449,22 +512,6 @@ def hgs_run(
         join_neighbors(dist, near, row)
         pop.append(_Member(tour, e))
 
-    def ranks():
-        costs = [m.tour.cost for m in pop]
-        contrib = [(a + b) / 2 for a, b in near]
-        return costs, biased_fitness(costs, contrib, params.mu_elite)
-
-    def trim():
-        while len(pop) > params.mu:
-            costs, bf = ranks()
-            by_cost = sorted(range(len(pop)), key=costs.__getitem__)
-            keep = set(by_cost[: params.mu_elite])
-            worst = max(
-                (i for i in range(len(pop)) if i not in keep), key=bf.__getitem__
-            )
-            pop.pop(worst)
-            leave_neighbors(dist, near, worst)
-
     best = None
     ttb = 0.0
     for _ in range(params.mu):
@@ -492,7 +539,9 @@ def hgs_run(
             break
         if params.max_no_improve is not None and no_improve >= params.max_no_improve:
             break
-        _, bf = ranks()
+        bf = biased_fitness(
+            [m.tour.cost for m in pop], [(a + b) / 2 for a, b in near], params.mu_elite
+        )
 
         def pick():
             i = rng.randrange(len(pop))
@@ -513,7 +562,9 @@ def hgs_run(
         else:
             no_improve += 1
         if len(pop) >= params.mu + params.lam:
-            trim()
+            costs = [m.tour.cost for m in pop]
+            for k in select_survivors(costs, dist, near, params.mu, params.mu_elite):
+                pop.pop(k)
 
     if stats is not None:
         stats.update(cost=best.cost, ttb=ttb, children=children)

@@ -56,16 +56,18 @@ from .tour import MoveDelta, Tour, apply_move
 
 def pair_step(inst: Instance, tour: Tour, x: int, k_or: int):
     """Best improving small-neighborhood move for one pair, or the empty
-    move; ties keep the earliest scan."""
+    move; ties keep the earliest scan. Or-opt's segments start at two
+    visits, so with ``k_or < 2`` it has none and is not called."""
     best = relocate_pair_best(inst, tour, x)
     for anchor in (x, x + inst.n_pairs):
         i = tour.pos[anchor]
         m = two_opt_scan(inst, tour, i)
         if m.delta < best.delta:
             best = m
-        m = or_opt_scan(inst, tour, i, k_or)
-        if m.delta < best.delta:
-            best = m
+        if k_or > 1:
+            m = or_opt_scan(inst, tour, i, k_or)
+            if m.delta < best.delta:
+                best = m
     return best
 
 

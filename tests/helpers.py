@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 from pdtsp_kit.instance import Instance, generate_pairs
@@ -163,3 +164,36 @@ def checked_insertion(calls: list):
         return got
 
     return both
+
+
+def select_survivors_from_scratch(costs, dist, near, mu: int, mu_elite: int) -> list:
+    """The reference for ``select_survivors``: survivor selection as HGS
+    ran it before it kept its ranks. Every removal sorts costs and
+    diversity contributions again, computes every biased fitness, and
+    sorts again every distance row whose pair in ``near`` the removed
+    member may have been part of. Edits ``dist`` and ``near`` the same
+    way and returns the removed indices in order."""
+    costs = list(costs)
+    removed = []
+    while len(costs) > mu:
+        p = len(costs)
+        contrib = [(a + b) / 2 for a, b in near]
+        by_cost = sorted(range(p), key=costs.__getitem__)
+        rc = [0] * p
+        for r, i in enumerate(by_cost):
+            rc[i] = r
+        rd = [0] * p
+        for r, i in enumerate(sorted(range(p), key=contrib.__getitem__, reverse=True)):
+            rd[i] = r
+        coef = 1.0 - mu_elite / p
+        bf = [rc[i] + coef * rd[i] for i in range(p)]
+        keep = set(by_cost[:mu_elite])
+        worst = max((i for i in range(p) if i not in keep), key=bf.__getitem__)
+        removed.append(worst)
+        costs.pop(worst)
+        dist.pop(worst)
+        near.pop(worst)
+        for row, nb in zip(dist, near):
+            if row.pop(worst) <= nb[1]:
+                nb[:] = (sorted(row)[1:3] + [math.inf, math.inf])[:2]
+    return removed

@@ -29,6 +29,7 @@ from pdtsp_kit.metaheuristics import (
     lox_crossover,
     mutate_and_repair,
     rr_run,
+    select_survivors,
 )
 from pdtsp_kit.neighborhoods import SearchParams
 from pdtsp_kit.neighborhoods.relocate import best_insertion, removal_delta
@@ -41,6 +42,7 @@ from helpers import (
     float_instance,
     is_settled,
     random_feasible_tour,
+    select_survivors_from_scratch,
 )
 
 
@@ -393,7 +395,10 @@ def test_incremental_neighbors_match_sorted_rows(steps):
         if add or len(dist) < 2:
             join_neighbors(dist, near, [rng.choice(DIST_VALUES) for _ in dist])
         else:
-            leave_neighbors(dist, near, rng.randrange(len(dist)))
+            k = rng.randrange(len(dist))
+            others = [list(nb) for i, nb in enumerate(near) if i != k]
+            # The report is exact: a change exactly when some pair changed.
+            assert leave_neighbors(dist, near, k) == (near != others)
         p = len(dist)
         assert len(near) == p
         assert all(len(row) == p and row[i] == 0.0 for i, row in enumerate(dist))
@@ -403,6 +408,36 @@ def test_incremental_neighbors_match_sorted_rows(steps):
                 assert nb == sorted(row)[1:3]
             else:
                 assert nb == (sorted(row)[1:] + [math.inf, math.inf])[:2]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(3, 70),
+    st.integers(0, 67),
+    st.sampled_from([0, 1, 2]),
+    st.integers(1, 12),
+    st.integers(0, 2**32),
+)
+def test_survivor_selection_matches_the_from_scratch_loop(p, drop, mu_elite, kinds, seed):
+    # Members of one kind are clones, at distance 0.0; other distances
+    # and the costs come from a few values, so ties are common.
+    rng = random.Random(seed)
+    mu = max(3, p - drop)
+    table = {}
+    for a in range(kinds):
+        for b in range(a):
+            table[a, b] = table[b, a] = rng.choice(DIST_VALUES[1:])
+    kind = [rng.randrange(kinds) for _ in range(p)]
+    costs = [rng.randrange(4) for _ in range(p)]
+    dist, near = [], []
+    for i in range(p):
+        join_neighbors(dist, near, [table.get((kind[i], kind[j]), 0.0) for j in range(i)])
+    ref_dist, ref_near = [row[:] for row in dist], [nb[:] for nb in near]
+    removed = select_survivors(costs, dist, near, mu, mu_elite)
+    assert removed == select_survivors_from_scratch(costs, ref_dist, ref_near, mu, mu_elite)
+    assert len(removed) == p - mu
+    assert (dist, near) == (ref_dist, ref_near)
+    assert all(nb == sorted(row)[1:3] for row, nb in zip(dist, near))
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from pdtsp_kit.neighborhoods import (
     SearchParams,
     bs_best,
     four_opt_best,
+    or_opt_scan,
     relocate_pair_best,
     two_k_opt_best,
     two_opt_scan,
@@ -94,6 +95,48 @@ def test_single_visit_segments_never_win_a_pair_step(seed, n, mode, floats, span
                 apply_move(inst, other, ref)
                 apply_move(inst, tour, got)
                 assert tour.seq == other.seq, (x, got, ref)
+
+
+def pair_step_calling_or_opt(inst, tour, x, k_or):
+    """``pair_step`` as it was when it called ``or_opt_scan`` at every
+    ``k_or``, through the module name a test can wrap."""
+    best = relocate_pair_best(inst, tour, x)
+    for anchor in (x, x + inst.n_pairs):
+        i = tour.pos[anchor]
+        m = two_opt_scan(inst, tour, i)
+        if m.delta < best.delta:
+            best = m
+        m = search.or_opt_scan(inst, tour, i, k_or)
+        if m.delta < best.delta:
+            best = m
+    return best
+
+
+@pytest.mark.parametrize("mode", ["closed", "open"])
+@pytest.mark.parametrize("build", [euclid_instance, float_instance])
+def test_k_or_one_descent_calls_no_or_opt_scan(monkeypatch, mode, build):
+    # With k_or = 1 or-opt has no segment, so skipping it changes no
+    # step result, and the descent draws the same random numbers.
+    calls = Counter()
+
+    def counted(inst, tour, a, k_or):
+        calls[step] += 1
+        return or_opt_scan(inst, tour, a, k_or)
+
+    monkeypatch.setattr(search, "or_opt_scan", counted)
+    params = SearchParams(k_or=1, p_large=0.5)
+    for seed in range(6):
+        inst = build(random.Random(950 + seed), 8 + seed, mode=mode)
+        start = random_feasible_tour(random.Random(seed), inst)
+        outs = []
+        for step in (pair_step, pair_step_calling_or_opt):
+            monkeypatch.setattr(search, "pair_step", step)
+            rng = random.Random(seed)
+            tour = local_search(inst, start.copy(), params, rng)
+            outs.append((tour.seq, tour.cost, type(tour.cost), rng.getstate()))
+        assert outs[0] == outs[1]
+    assert calls[pair_step] == 0
+    assert calls[pair_step_calling_or_opt] > 0
 
 
 def test_descent_reaches_local_optimum():
