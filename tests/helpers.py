@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import math
 import random
+import time
 
 from pdtsp_kit.instance import Instance, generate_pairs
+from pdtsp_kit.metaheuristics import _destroy_random, greedy_construct
 from pdtsp_kit.neighborhoods.oracles import best_insertion_naive
-from pdtsp_kit.neighborhoods.relocate import best_insertion
-from pdtsp_kit.tour import Tour
+from pdtsp_kit.neighborhoods.relocate import best_insertion, removal_delta
+from pdtsp_kit.tour import Tour, insert_pair
 
 
 def euclid_instance(rng, n, *, mode="closed", rounding="nearest", group="C", span=100):
@@ -197,3 +199,109 @@ def select_survivors_from_scratch(costs, dist, near, mu: int, mu_elite: int) -> 
             if row.pop(worst) <= nb[1]:
                 nb[:] = (sorted(row)[1:3] + [math.inf, math.inf])[:2]
     return removed
+
+
+def destroy_worst_from_scratch(inst, tour, q, rng):
+    """The reference for ``_destroy_worst``: one gain list per call."""
+    w = inst.work_cost()
+    seq, pos = tour.seq, tour.pos
+    items = []
+    for x in range(1, inst.n_pairs + 1):
+        i, j = pos[x], pos[x + inst.n_pairs]
+        gain = -removal_delta(w, seq, i, j)
+        items.append((-gain, x))
+    items.sort()
+    picked = []
+    for _ in range(q):
+        idx = int(len(items) * rng.random() ** 3)
+        picked.append(items.pop(idx)[1])
+    return picked
+
+
+def destroy_block_from_scratch(inst, tour, q, rng):
+    """The reference for ``_destroy_block``: each member's visits in the
+    span are listed, and the first of them ranks it."""
+    n = inst.n_pairs
+    pos = tour.pos
+    remaining = list(range(1, n + 1))
+    removed = []
+    while len(removed) < q and remaining:
+        x = remaining[rng.randrange(len(remaining))]
+        lo, hi = pos[x], pos[x + n]
+        hits = []
+        for y in remaining:
+            touch = [p for p in (pos[y], pos[y + n]) if lo <= p <= hi]
+            if touch:
+                hits.append((min(touch), y))
+        hits.sort()
+        for _, y in hits:
+            if len(removed) >= q:
+                break
+            removed.append(y)
+        removed_set = set(removed)
+        remaining = [y for y in remaining if y not in removed_set]
+    return removed
+
+
+def rr_run_from_scratch(inst: Instance, params, rng, stats: dict | None = None) -> Tour:
+    """The reference for ``rr_run``: ruin-and-recreate as it ran before
+    it kept a recreate memo and its removal rankings. Every iteration
+    rebuilds its candidate, and every worst-removal ranks the current
+    tour's pairs again."""
+    t_start = time.perf_counter()
+    w = inst.work_cost()
+    n = inst.n_pairs
+    cur = greedy_construct(inst, rng)
+    best = cur.copy()
+    ttb = time.perf_counter() - t_start
+
+    q_lo = max(1, min(30, int(0.20 * n)))
+    q_hi = max(q_lo, min(50, int(0.55 * n)))
+    z0 = cur.cost if cur.cost > 0 else 1.0
+    t0 = 0.05 * z0 / math.log(2)
+    tf = 1e-3 * t0
+    operators = (_destroy_random, destroy_worst_from_scratch, destroy_block_from_scratch)
+
+    it = 0
+    while True:
+        if params.iters is not None and it >= params.iters:
+            break
+        elapsed = time.perf_counter() - t_start
+        if params.tmax is not None and elapsed >= params.tmax:
+            break
+        if params.iters is not None and params.iters > 1:
+            temp = t0 * (tf / t0) ** (it / (params.iters - 1))
+        elif params.tmax is not None:
+            temp = t0 * (tf / t0) ** min(1.0, elapsed / params.tmax)
+        else:
+            temp = t0
+
+        op = operators[rng.randrange(3)]
+        q = rng.randint(q_lo, q_hi)
+        removed = op(inst, cur, q, rng)
+        gone = set()
+        for x in removed:
+            gone.add(x)
+            gone.add(x + n)
+        part = [v for v in cur.seq if v not in gone]
+        order = list(removed)
+        rng.shuffle(order)
+        for x in order:
+            _, ip, jp = best_insertion(w, part, x, x + n)
+            insert_pair(part, x, x + n, ip, jp)
+        cand = Tour(inst, part)
+        delta = cand.cost - cur.cost
+        if delta < 0:
+            accept = True
+        else:
+            accept = rng.random() < math.exp(-delta / temp) if temp > 0 else False
+        if accept:
+            cur = cand
+            if cur.cost < best.cost:
+                best = cur.copy()
+                ttb = time.perf_counter() - t_start
+        it += 1
+
+    if stats is not None:
+        stats.update(cost=best.cost, ttb=ttb, iters=it)
+    return best

@@ -18,6 +18,7 @@ from pdtsp_kit.metaheuristics import (
     _destroy_block,
     _destroy_random,
     _destroy_worst,
+    _removal_ranking,
     biased_fitness,
     edge_set,
     greedy_construct,
@@ -38,10 +39,13 @@ from pdtsp_kit.search import Lru
 from pdtsp_kit.tour import Tour, tour_cost
 from helpers import (
     checked_insertion,
+    destroy_block_from_scratch,
+    destroy_worst_from_scratch,
     euclid_instance,
     float_instance,
     is_settled,
     random_feasible_tour,
+    rr_run_from_scratch,
     select_survivors_from_scratch,
 )
 
@@ -120,6 +124,41 @@ def test_destroy_block_seeds_with_chosen_pair():
     assert len(set(got)) == 3
 
 
+def rr_instance(seed, n, floats, mode):
+    build = float_instance if floats else euclid_instance
+    return build(random.Random(seed), n, mode=mode)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 10),
+    floats=st.booleans(),
+    mode=st.sampled_from(["closed", "open"]),
+    seed=st.integers(0, 10**6),
+)
+def test_destroy_operators_match_the_from_scratch_ones(n, floats, mode, seed):
+    # A given ranking is popped from a copy; without one the operator
+    # ranks the tour itself. Equal seeded rngs must draw alike.
+    inst = rr_instance(seed, n, floats, mode)
+    rng = random.Random(seed)
+    for _ in range(5):
+        tour = random_feasible_tour(rng, inst)
+        ranked = _removal_ranking(inst, tour)
+        kept = list(ranked)
+        q = rng.randint(1, n)
+        s = rng.random()
+        runs = [
+            (_destroy_worst, (ranked,), destroy_worst_from_scratch),
+            (_destroy_worst, (), destroy_worst_from_scratch),
+            (_destroy_block, (), destroy_block_from_scratch),
+        ]
+        for op, extra, ref in runs:
+            r1, r2 = random.Random(s), random.Random(s)
+            assert op(inst, tour, q, r1, *extra) == ref(inst, tour, q, r2)
+            assert r1.getstate() == r2.getstate()
+        assert ranked == kept
+
+
 # ---------------------------------------------------------------------------
 # Ruin and recreate
 
@@ -188,6 +227,59 @@ def test_rr_evaluators_walk_identically(monkeypatch):
         finals.append((best.cost, best.seq))
     assert len(calls) > 80
     assert finals[0] == finals[1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(2, 10),
+    floats=st.booleans(),
+    mode=st.sampled_from(["closed", "open"]),
+    iters=st.integers(0, 300),
+    seed=st.integers(0, 10**6),
+)
+def test_rr_run_matches_the_from_scratch_loop(n, floats, mode, iters, seed):
+    # The recreate memo and the kept rankings skip work, never a draw.
+    inst = rr_instance(seed, n, floats, mode)
+    r1, r2 = random.Random(seed), random.Random(seed)
+    s1, s2 = {}, {}
+    got = rr_run(inst, RrParams(iters=iters), r1, s1)
+    ref = rr_run_from_scratch(inst, RrParams(iters=iters), r2, s2)
+    assert (got.seq, got.cost, s1["iters"]) == (ref.seq, ref.cost, s2["iters"])
+    assert type(got.cost) is type(ref.cost)
+    assert s1["cost"] == s2["cost"]
+    assert r1.getstate() == r2.getstate()
+
+
+def test_rr_recreate_memo_skips_repeated_rebuilds(monkeypatch):
+    # On 5 pairs the run revisits (tour, order) keys often, so it prices
+    # fewer insertions and builds fewer tours than the loop without a
+    # memo, and still ends at the same tour.
+    inst = euclid_instance(random.Random(99), 5)
+    counts = Counter()
+
+    def counted(w, rho, x, nx):
+        counts["insertions"] += 1
+        return best_insertion(w, rho, x, nx)
+
+    init = Tour.__init__
+
+    def counted_init(self, inst, seq):
+        counts["tours"] += 1
+        init(self, inst, seq)
+
+    monkeypatch.setattr(metaheuristics, "best_insertion", counted)
+    monkeypatch.setattr("helpers.best_insertion", counted)
+    monkeypatch.setattr(Tour, "__init__", counted_init)
+    seen = []
+    for run in (rr_run, rr_run_from_scratch):
+        counts.clear()
+        best = run(inst, RrParams(iters=300), random.Random(8))
+        seen.append((best.seq, best.cost, counts["insertions"], counts["tours"]))
+    (seq, cost, ins, tours), (ref_seq, ref_cost, ref_ins, ref_tours) = seen
+    assert (seq, cost) == (ref_seq, ref_cost)
+    assert ref_tours == 301  # the greedy start and one candidate per iteration
+    assert ins < ref_ins
+    assert tours < ref_tours
 
 
 def test_rr_time_budget_stops():
