@@ -151,8 +151,11 @@ def run_method(inst: Instance, method: str, seed: int, args):
         tour = hgs_run(inst, params, rng, stats)
         ttb = stats["ttb"]
     elif method == "rr":
+        iters = args.iters
+        if iters is None and args.tmax is None:
+            iters = 10000
         stats = {}
-        tour = rr_run(inst, RrParams(iters=args.iters, tmax=args.tmax), rng, stats)
+        tour = rr_run(inst, RrParams(iters=iters, tmax=args.tmax), rng, stats)
         ttb = stats["ttb"]
     elif method == "ls-only":
         tour = greedy_construct(inst, rng)
@@ -338,8 +341,8 @@ def _add_run_flags(sub):
     sub.add_argument(
         "--iters",
         type=_checked(int, lambda v: v >= 0, "at least 0"),
-        default=10000,
-        help="rr iteration budget",
+        default=None,
+        help="rr iteration budget; 10000 when neither it nor --tmax is given",
     )
     sub.add_argument("--kor", type=_AT_LEAST_ONE, default=30)
     sub.add_argument(

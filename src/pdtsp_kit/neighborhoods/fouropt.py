@@ -21,11 +21,12 @@ when it holds no complete pair; for a start i that holds for every end
 below cut[i], the first end at which it would hold one, so one position
 per start suffices. Last gives the latest outside pickup serving a
 delivery inside a segment; it is a range maximum that depends on the
-start, so it stays a table. Deliveries moved ahead of blocks they
-depended on are rejected; a segment may only jump ahead of everything
-after i1 if all its deliveries' pickups sit in P1. At each (i2, j2) the
-types are tried in the order 1, 2a, 2b, and a candidate replaces the
-best move so far only if it is strictly cheaper.
+start, so each start has its own row, built in O(n) the first time a
+candidate that beats the best so far reads it. Deliveries moved ahead
+of blocks they depended on are rejected; a segment may only jump ahead
+of everything after i1 if all its deliveries' pickups sit in P1. At
+each (i2, j2) the types are tried in the order 1, 2a, 2b, and a
+candidate replaces the best move so far only if it is strictly cheaper.
 
 That rule is stricter than precedence needs for type 2a: it rejects
 any pair picked up in P3 and delivered in P4, although r(P3) still
@@ -58,61 +59,76 @@ def _partner_rows(w, seq, top):
     yields (i2, dd[i2], dc[i2], min_d, arg_d, min_c, arg_c): min_d[j1]
     is the minimum of dd[i1][j1] over i1 < i2 and arg_d[j1] the first
     i1 reaching it, likewise for dc, valid for j1 > i2. Row i is built
-    for j > i and then folded into the minima on the next step, in
-    place, so the yielded lists change once the caller moves on.
+    for j > i in the lists that held row i - 1, each cell overwritten
+    right after its old value is folded into the minima, so the yielded
+    lists change once the caller moves on.
     """
+    edge = [w[seq[k]][seq[k + 1]] for k in range(top)]
     min_d = [math.inf] * top
     arg_d = [0] * top
     min_c = [math.inf] * top
     arg_c = [0] * top
-    prev_d = prev_c = min_d[:]
+    row_d = min_d[:]
+    row_c = min_d[:]
     for i in range(top - 1):
-        si, si1 = seq[i], seq[i + 1]
-        wi, wi1 = w[si], w[si1]
-        base = wi[si1]
-        row_d = [0] * top
-        row_c = [0] * top
+        wi, wi1 = w[seq[i]], w[seq[i + 1]]
+        base = edge[i]
         h = i - 1
         # Fold row h into the minima and build row i in one sweep.
         for j in range(i + 1, top):
-            v = prev_d[j]
+            v = row_d[j]
             if v < min_d[j]:
                 min_d[j] = v
                 arg_d[j] = h
-            v = prev_c[j]
+            v = row_c[j]
             if v < min_c[j]:
                 min_c[j] = v
                 arg_c[j] = h
             sj, sj1 = seq[j], seq[j + 1]
-            drop = base + w[sj][sj1]
+            drop = base + edge[j]
             row_d[j] = wi[sj1] + wi1[sj] - drop
             row_c[j] = wi[sj] + wi1[sj1] - drop
         if i:
             yield i, row_d, row_c, min_d, arg_d, min_c, arg_c
-        prev_d = row_d
-        prev_c = row_c
 
 
-def _feasibility_tables(seq, pos, n, top):
-    # cut[i]: first j >= i at which [i..j] holds a complete pair, or
-    # top; segment [i..j] may flip exactly when j < cut[i].
-    # last[i][j]: latest position before i of a pickup whose delivery
-    # lies in [i..j]; -1 when every such pickup is absent.
+def _cut_table(seq, pos, n, top):
+    """cut[i]: first j >= i at which [i..j] holds a complete pair, or
+    top; segment [i..j] may flip exactly when j < cut[i]."""
     cut = [top] * (top + 1)
-    last = [[-1] * top for _ in range(top)]
     for i in range(top - 1, 0, -1):
         v = seq[i]
         cut[i] = min(cut[i + 1], pos[v + n]) if v <= n else cut[i + 1]
-        lrow = last[i]
-        acc = -1
-        for j in range(i, top):
-            v = seq[j]
-            if v > n:
-                p = pos[v - n]
-                if acc < p < i:
-                    acc = p
-            lrow[j] = acc
-    return cut, last
+    return cut
+
+
+def _last_row(seq, pos, n, top, i):
+    """last[i][j] for j = i .. top-1: latest position before i of a
+    pickup whose delivery lies in [i..j]; -1 when every such pickup is
+    absent."""
+    lrow = [-1] * top
+    acc = -1
+    for j in range(i, top):
+        v = seq[j]
+        if v > n:
+            p = pos[v - n]
+            if acc < p < i:
+                acc = p
+        lrow[j] = acc
+    return lrow
+
+
+class _LastRows(dict):
+    """The rows of last, each built on first use: a scan reads only the
+    rows of the candidates that beat its running best."""
+
+    def __init__(self, seq, pos, n, top):
+        super().__init__()
+        self.args = seq, pos, n, top
+
+    def __missing__(self, i):
+        row = self[i] = _last_row(*self.args, i)
+        return row
 
 
 def four_opt_best(inst: Instance, tour: Tour) -> MoveDelta:
@@ -126,13 +142,14 @@ def four_opt_best(inst: Instance, tour: Tour) -> MoveDelta:
         return empty
 
     w = inst.work_cost()
-    cut, last = _feasibility_tables(seq, pos, n, top)
+    cut = _cut_table(seq, pos, n, top)
+    last = _LastRows(seq, pos, n, top)
 
     best = empty
     best_delta = -inst.eps
     for i2, base_d, base_c, min_d, arg_d, min_c, arg_c in _partner_rows(w, seq, top):
-        last3 = last[i2 + 1]  # P3 starts at i2 + 1
-        cut3 = cut[i2 + 1]
+        p3 = i2 + 1  # P3 starts at i2 + 1
+        cut3 = cut[p3]
         # Running minima over j1 in (i2, j2) of the partner minima.
         phi_d = phi_c = math.inf
         i1_d = j1_d = i1_c = j1_c = 0
@@ -152,7 +169,7 @@ def four_opt_best(inst: Instance, tour: Tour) -> MoveDelta:
             total = d + phi_d
             if (
                 total < best_delta
-                and last3[j1_d] <= i1_d
+                and last[p3][j1_d] <= i1_d
                 and last[j1_d + 1][j2] <= i1_d
             ):
                 best_delta = total
@@ -160,7 +177,7 @@ def four_opt_best(inst: Instance, tour: Tour) -> MoveDelta:
             total = d + phi_c
             if (
                 total < best_delta
-                and last3[j1_c] <= i1_c
+                and last[p3][j1_c] <= i1_c
                 and last[j1_c + 1][j2] <= i1_c
                 and j1_c < cut3
                 and j2 < cut[j1_c + 1]

@@ -23,10 +23,11 @@ R(i + 1, i + 1), so each row stores ``math.inf`` in its single-visit
 cell, and such a flip never wins.
 
 The tables are filled row by row, i descending and j ascending. Cell
-(i, j) reads only row i + 1 and the cells of row i left of j, so two
-rows of F and R are live at a time, and the 2-opt gain on (i, j) comes
-from the two rows of the cost matrix at seq[i] and seq[i+1]. The case
-tables are kept whole for decoding.
+(i, j) reads only row i + 1 and the cells of row i left of j, so a scan
+allocates two rows of F and two of R and reuses them in turn, and the
+2-opt gain on (i, j) comes from the two rows of the cost matrix at
+seq[i] and seq[i+1] and the tour's edge costs. The case tables are kept
+whole for decoding, one ``bytearray`` row per i, since a case is 0 to 3.
 
 Every case moves inward from one end of [i, j] or from both, so the
 chosen cases form one path from the full tour down to an interval of
@@ -52,33 +53,37 @@ def two_k_opt_best(inst: Instance, tour: Tour) -> MoveDelta:
     w = inst.work_cost()
 
     size = top + 1
-    FC = [[0] * size for _ in range(size)]
-    RC = [[0] * size for _ in range(size)]
+    FC = [bytearray(size) for _ in range(size)]
+    RC = [bytearray(size) for _ in range(size)]
 
-    # F_in and R_in hold row i + 1. Two-visit intervals gain 0, and a
-    # flip over a single visit is barred by an infinite cell.
+    # F_in and R_in hold row i + 1 and F_i and R_i row i. The two pairs
+    # of buffers swap after each row, so row i reuses the lists of rows
+    # i + 2, i + 4, ..., which wrote only cells from i + 2 on: cells i
+    # and i + 1 still hold the 0 of a fresh row. Two-visit intervals
+    # gain 0, and a flip over a single visit is barred by an infinite
+    # cell.
     wrow = [w[v] for v in seq]
+    edge = [w[seq[k]][seq[k + 1]] for k in range(top)]
     F_in = [0] * size
     R_in = [0] * size
+    F_i = [0] * size
+    R_i = [0] * size
     F_in[top - 1] = R_in[top - 1] = math.inf
     for i in range(top - 2, -1, -1):
-        F_i = [0] * size
-        R_i = [0] * size
         F_i[i] = R_i[i] = math.inf
         FC_i = FC[i]
         RC_i = RC[i]
         w_i = wrow[i]
         w_in = wrow[i + 1]
-        c_i = w_i[seq[i + 1]]
+        c_i = edge[i]
         # R(i, j) is blocked from seq[i]'s delivery on, R(i, i + 1) too.
         s_i = seq[i]
         cut = pos[s_i + n] if 0 < s_i <= n else top
         if cut == i + 1:
             R_i[cut] = math.inf
         for j in range(i + 2, size):
-            s_jm = seq[j - 1]
             s_j = seq[j]
-            d2 = w_i[s_jm] + w_in[s_j] - c_i - wrow[j - 1][s_j]
+            d2 = w_i[seq[j - 1]] + w_in[s_j] - c_i - edge[j - 1]
             best = F_in[j]
             case = 1
             alt = F_i[j - 1]
@@ -104,8 +109,8 @@ def two_k_opt_best(inst: Instance, tour: Tour) -> MoveDelta:
                     best, case = alt, 3
                 R_i[j] = best
                 RC_i[j] = case
-        F_in = F_i
-        R_in = R_i
+        F_in, F_i = F_i, F_in
+        R_in, R_i = R_i, R_in
 
     # ``left`` collects the output front to back and ``right`` back to
     # front; inside a reversed interval seq[i] goes to the back.

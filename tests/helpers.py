@@ -8,9 +8,10 @@ import time
 
 from pdtsp_kit.instance import Instance, generate_pairs
 from pdtsp_kit.metaheuristics import _destroy_random, greedy_construct
+from pdtsp_kit.neighborhoods.fouropt import _KINDS
 from pdtsp_kit.neighborhoods.oracles import best_insertion_naive
 from pdtsp_kit.neighborhoods.relocate import best_insertion, removal_delta
-from pdtsp_kit.tour import Tour, insert_pair
+from pdtsp_kit.tour import MoveDelta, Tour, insert_pair
 
 
 def euclid_instance(rng, n, *, mode="closed", rounding="nearest", group="C", span=100):
@@ -305,3 +306,251 @@ def rr_run_from_scratch(inst: Instance, params, rng, stats: dict | None = None) 
     if stats is not None:
         stats.update(cost=best.cost, ttb=ttb, iters=it)
     return best
+
+
+def partner_rows_reference(w, seq, top):
+    """``_partner_rows`` as it was with a fresh pair of delta rows per
+    step. Rows of the two delta tables with their partner minima, by i2.
+
+    dd[i][j] replaces edges (i,i+1),(j,j+1) by (i,j+1),(i+1,j), and
+    dc[i][j] replaces them by (i,j),(i+1,j+1). For i2 = 1 .. top-2 this
+    yields (i2, dd[i2], dc[i2], min_d, arg_d, min_c, arg_c): min_d[j1]
+    is the minimum of dd[i1][j1] over i1 < i2 and arg_d[j1] the first
+    i1 reaching it, likewise for dc, valid for j1 > i2. Row i is built
+    for j > i and then folded into the minima on the next step, in
+    place, so the yielded lists change once the caller moves on.
+    """
+    min_d = [math.inf] * top
+    arg_d = [0] * top
+    min_c = [math.inf] * top
+    arg_c = [0] * top
+    prev_d = prev_c = min_d[:]
+    for i in range(top - 1):
+        si, si1 = seq[i], seq[i + 1]
+        wi, wi1 = w[si], w[si1]
+        base = wi[si1]
+        row_d = [0] * top
+        row_c = [0] * top
+        h = i - 1
+        # Fold row h into the minima and build row i in one sweep.
+        for j in range(i + 1, top):
+            v = prev_d[j]
+            if v < min_d[j]:
+                min_d[j] = v
+                arg_d[j] = h
+            v = prev_c[j]
+            if v < min_c[j]:
+                min_c[j] = v
+                arg_c[j] = h
+            sj, sj1 = seq[j], seq[j + 1]
+            drop = base + w[sj][sj1]
+            row_d[j] = wi[sj1] + wi1[sj] - drop
+            row_c[j] = wi[sj] + wi1[sj1] - drop
+        if i:
+            yield i, row_d, row_c, min_d, arg_d, min_c, arg_c
+        prev_d = row_d
+        prev_c = row_c
+
+
+def feasibility_tables_reference(seq, pos, n, top):
+    # cut[i]: first j >= i at which [i..j] holds a complete pair, or
+    # top; segment [i..j] may flip exactly when j < cut[i].
+    # last[i][j]: latest position before i of a pickup whose delivery
+    # lies in [i..j]; -1 when every such pickup is absent.
+    cut = [top] * (top + 1)
+    last = [[-1] * top for _ in range(top)]
+    for i in range(top - 1, 0, -1):
+        v = seq[i]
+        cut[i] = min(cut[i + 1], pos[v + n]) if v <= n else cut[i + 1]
+        lrow = last[i]
+        acc = -1
+        for j in range(i, top):
+            v = seq[j]
+            if v > n:
+                p = pos[v - n]
+                if acc < p < i:
+                    acc = p
+            lrow[j] = acc
+    return cut, last
+
+
+def four_opt_best_reference(inst: Instance, tour: Tour) -> MoveDelta:
+    """``four_opt_best`` as it was when it built every delta row and the
+    whole table of latest outside pickups afresh on each call."""
+    seq = tour.seq
+    pos = tour.pos
+    n = inst.n_pairs
+    top = len(seq) - 1  # customer positions are 1..top-1
+    empty = MoveDelta(_KINDS[0], (), 0)
+    if top - 1 < 5:
+        return empty
+
+    w = inst.work_cost()
+    cut, last = feasibility_tables_reference(seq, pos, n, top)
+
+    best = empty
+    best_delta = -inst.eps
+    for i2, base_d, base_c, min_d, arg_d, min_c, arg_c in partner_rows_reference(w, seq, top):
+        last3 = last[i2 + 1]  # P3 starts at i2 + 1
+        cut3 = cut[i2 + 1]
+        # Running minima over j1 in (i2, j2) of the partner minima.
+        phi_d = phi_c = math.inf
+        i1_d = j1_d = i1_c = j1_c = 0
+        for j2 in range(i2 + 2, top):
+            j1 = j2 - 1
+            v = min_d[j1]
+            if v < phi_d:
+                phi_d = v
+                i1_d = arg_d[j1]
+                j1_d = j1
+            v = min_c[j1]
+            if v < phi_c:
+                phi_c = v
+                i1_c = arg_c[j1]
+                j1_c = j1
+            d = base_d[j2]
+            total = d + phi_d
+            if (
+                total < best_delta
+                and last3[j1_d] <= i1_d
+                and last[j1_d + 1][j2] <= i1_d
+            ):
+                best_delta = total
+                best = MoveDelta(_KINDS[0], (i1_d, i2, j1_d, j2), total)
+            total = d + phi_c
+            if (
+                total < best_delta
+                and last3[j1_c] <= i1_c
+                and last[j1_c + 1][j2] <= i1_c
+                and j1_c < cut3
+                and j2 < cut[j1_c + 1]
+            ):
+                best_delta = total
+                best = MoveDelta(_KINDS[1], (i1_c, i2, j1_c, j2), total)
+            total = base_c[j2] + phi_d
+            if (
+                total < best_delta
+                and last[j1_d + 1][j2] <= i1_d
+                and i2 < cut[i1_d + 1]
+                and j1_d < cut3
+            ):
+                best_delta = total
+                best = MoveDelta(_KINDS[2], (i1_d, i2, j1_d, j2), total)
+    return best
+
+
+def four_opt_type1_any_reference(inst: Instance, seq) -> MoveDelta:
+    """``four_opt_type1_any`` over ``partner_rows_reference``."""
+    top = len(seq) - 1
+    if top - 1 < 5:
+        return MoveDelta(_KINDS[0], (), 0)
+    w = inst.work_cost()
+    best = -inst.eps
+    cuts = ()
+    for i2, base, _, min_d, arg_d, _, _ in partner_rows_reference(w, seq, top):
+        phi = math.inf
+        i1 = j1 = 0
+        for j2 in range(i2 + 2, top):
+            v = min_d[j2 - 1]
+            if v < phi:
+                phi = v
+                i1 = arg_d[j2 - 1]
+                j1 = j2 - 1
+            total = base[j2] + phi
+            if total < best:
+                best = total
+                cuts = (i1, i2, j1, j2)
+    return MoveDelta(_KINDS[0], cuts, best if cuts else 0)
+
+
+def two_k_opt_best_reference(inst: Instance, tour: Tour) -> MoveDelta:
+    """``two_k_opt_best`` as it was when it allocated a fresh F and R row
+    per interval start and whole integer case tables on each call."""
+    seq = tour.seq
+    pos = tour.pos
+    n = inst.n_pairs
+    top = len(seq) - 1
+    w = inst.work_cost()
+
+    size = top + 1
+    FC = [[0] * size for _ in range(size)]
+    RC = [[0] * size for _ in range(size)]
+
+    # F_in and R_in hold row i + 1. Two-visit intervals gain 0, and a
+    # flip over a single visit is barred by an infinite cell.
+    wrow = [w[v] for v in seq]
+    F_in = [0] * size
+    R_in = [0] * size
+    F_in[top - 1] = R_in[top - 1] = math.inf
+    for i in range(top - 2, -1, -1):
+        F_i = [0] * size
+        R_i = [0] * size
+        F_i[i] = R_i[i] = math.inf
+        FC_i = FC[i]
+        RC_i = RC[i]
+        w_i = wrow[i]
+        w_in = wrow[i + 1]
+        c_i = w_i[seq[i + 1]]
+        # R(i, j) is blocked from seq[i]'s delivery on, R(i, i + 1) too.
+        s_i = seq[i]
+        cut = pos[s_i + n] if 0 < s_i <= n else top
+        if cut == i + 1:
+            R_i[cut] = math.inf
+        for j in range(i + 2, size):
+            s_jm = seq[j - 1]
+            s_j = seq[j]
+            d2 = w_i[s_jm] + w_in[s_j] - c_i - wrow[j - 1][s_j]
+            best = F_in[j]
+            case = 1
+            alt = F_i[j - 1]
+            if alt < best:
+                best, case = alt, 2
+            alt = d2 + R_in[j - 1]
+            if alt < best:
+                best, case = alt, 3
+            F_i[j] = best
+            FC_i[j] = case
+
+            if i and j < top:
+                if j >= cut or s_j > n and pos[s_j - n] >= i:
+                    R_i[j] = math.inf
+                    continue
+                best = R_in[j]
+                case = 1
+                alt = R_i[j - 1]
+                if alt < best:
+                    best, case = alt, 2
+                alt = d2 + F_in[j - 1]
+                if alt < best:
+                    best, case = alt, 3
+                R_i[j] = best
+                RC_i[j] = case
+        F_in = F_i
+        R_in = R_i
+
+    # ``left`` collects the output front to back and ``right`` back to
+    # front; inside a reversed interval seq[i] goes to the back.
+    delta = F_in[top]
+    if delta >= -inst.eps:
+        return MoveDelta("2k-opt", (), 0)
+    left = []
+    right = []
+    flips = []
+    i, j, rev = 0, top, False
+    while j > i + 1:
+        case = (RC if rev else FC)[i][j]
+        near, far = (right, left) if rev else (left, right)
+        if case == 3:
+            flips.append((i, j))
+            rev = not rev
+        if case != 2:
+            near.append(seq[i])
+            i += 1
+        if case != 1:
+            far.append(seq[j])
+            j -= 1
+    mid = seq[i : j + 1]
+    if rev:
+        mid.reverse()
+    out = left + mid + right[::-1]
+    return MoveDelta("2k-opt", tuple(sorted(flips)), delta, tuple(out))

@@ -438,6 +438,33 @@ def test_hgs_without_budget_gets_one_second_per_visit(capsys, tmp_path, monkeypa
     assert budgets == [(7.0, None)]  # 2 * 3 + 1 visits
 
 
+@pytest.mark.parametrize(
+    "flags, budget",
+    [
+        (["--tmax", "0.5"], (None, 0.5)),
+        ([], (10000, None)),
+        (["--iters", "30", "--tmax", "0.5"], (30, 0.5)),
+    ],
+)
+def test_rr_iteration_budget_defaults_only_without_tmax(
+    capsys, tmp_path, monkeypatch, flags, budget
+):
+    paths = gen_instances(capsys, tmp_path, count=1, n=3)
+    budgets = []
+
+    def fake_rr(inst, params, rng, stats):
+        budgets.append((params.iters, params.tmax))
+        stats["ttb"] = 0.0
+        return greedy_construct(inst, rng)
+
+    monkeypatch.setattr(cli, "rr_run", fake_rr)
+    code, _, _ = run_cli(
+        capsys, ["solve", str(paths[0]), "--method", "rr", "--seeds", "1", *flags]
+    )
+    assert code == 0
+    assert budgets == [budget]
+
+
 def test_bench_aggregates(capsys, tmp_path):
     gen_instances(capsys, tmp_path, count=2, n=4)
     gen_instances(capsys, tmp_path, count=1, n=4, group="A", seed=8)

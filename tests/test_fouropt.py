@@ -6,7 +6,7 @@ import pytest
 
 from pdtsp_kit.instance import generate_pairs
 from pdtsp_kit.neighborhoods import four_opt_best, four_opt_type1_any
-from pdtsp_kit.neighborhoods.fouropt import _feasibility_tables
+from pdtsp_kit.neighborhoods.fouropt import _cut_table, _last_row
 from pdtsp_kit.neighborhoods.oracles import (
     _segment_last,
     _segment_rev_ok,
@@ -24,6 +24,8 @@ from helpers import (
     adjacent_pairs_tour,
     euclid_instance,
     float_instance,
+    four_opt_best_reference,
+    four_opt_type1_any_reference,
     random_feasible_tour,
 )
 
@@ -117,11 +119,12 @@ def test_feasibility_tables_match_segment_checks():
             inst = euclid_instance(rng, n, mode=mode)
             for tour in (adjacent_pairs_tour(rng, inst), random_feasible_tour(rng, inst)):
                 seq, pos, top = tour.seq, tour.pos, len(tour.seq) - 1
-                cut, last = _feasibility_tables(seq, pos, n, top)
+                cut = _cut_table(seq, pos, n, top)
                 for i in range(1, top):
+                    last_i = _last_row(seq, pos, n, top, i)
                     for j in range(i, top):
                         assert (j < cut[i]) == _segment_rev_ok(seq, pos, n, i, j)
-                        assert last[i][j] == _segment_last(seq, pos, n, i, j)
+                        assert last_i[j] == _segment_last(seq, pos, n, i, j)
 
 
 def _oracle_accepts(seq, pos, n, kind, cuts):
@@ -288,3 +291,38 @@ def test_type1_any_matches_brute_force_on_raw_sequences():
                 seq = new
     assert empties == len(cases) * 8
     assert moves > empties
+
+
+def test_reused_rows_match_the_allocating_kernels():
+    # The kernels build each delta row in the list of the row before
+    # and a row of latest outside pickups only when a candidate needs
+    # it; the references allocate every row. Results must agree bit for bit, on
+    # a second call too, from 1 to 60 pairs; the type-1 helper also on
+    # shuffled sequences that break precedence.
+    rng = random.Random(271)
+    moves = 0
+    for n in (1, 2, 3, 4, 6, 9, 14, 21, 33, 47, 60):
+        for build, mode in (
+            (euclid_instance, "closed"),
+            (euclid_instance, "open"),
+            (float_instance, "closed"),
+            (float_instance, "open"),
+        ):
+            inst = build(rng, n, mode=mode)
+            for tour in (adjacent_pairs_tour(rng, inst), random_feasible_tour(rng, inst)):
+                ref = four_opt_best_reference(inst, tour)
+                mv = four_opt_best(inst, tour)
+                assert mv == ref
+                assert repr(mv.delta) == repr(ref.delta)
+                assert four_opt_best(inst, tour) == mv
+                moves += bool(mv.indices)
+            seq = Tour.identity(inst).seq
+            middle = seq[1:-1]
+            rng.shuffle(middle)
+            seq = [seq[0]] + middle + [seq[-1]]
+            ref = four_opt_type1_any_reference(inst, seq)
+            mv = four_opt_type1_any(inst, seq)
+            assert mv == ref
+            assert repr(mv.delta) == repr(ref.delta)
+            assert four_opt_type1_any(inst, seq) == mv
+    assert moves >= 40
