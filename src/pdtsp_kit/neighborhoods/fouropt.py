@@ -28,6 +28,13 @@ of everything after i1 if all its deliveries' pickups sit in P1. At
 each (i2, j2) the types are tried in the order 1, 2a, 2b, and a
 candidate replaces the best move so far only if it is strictly cheaper.
 
+Types 1 and 2a add the same dd cell to different partner minima, so
+one test against the smaller of the two running minima passes over
+both when neither can beat the best so far; rounding to nearest is
+monotone, so a total it skips could not have passed its own test. A
+candidate of type 2a or 2b runs its ``cut`` tests before it reads a
+``last`` row, so one that cannot flip its segments builds no row.
+
 That rule is stricter than precedence needs for type 2a: it rejects
 any pair picked up in P3 and delivered in P4, although r(P3) still
 precedes r(P4). The tour [0, 3, 2, 1, 6, 4, 5, 7, 8, 0] (four pairs,
@@ -150,8 +157,9 @@ def four_opt_best(inst: Instance, tour: Tour) -> MoveDelta:
     for i2, base_d, base_c, min_d, arg_d, min_c, arg_c in _partner_rows(w, seq, top):
         p3 = i2 + 1  # P3 starts at i2 + 1
         cut3 = cut[p3]
-        # Running minima over j1 in (i2, j2) of the partner minima.
-        phi_d = phi_c = math.inf
+        # Running minima over j1 in (i2, j2) of the partner minima, and
+        # phi, the smaller of the two.
+        phi_d = phi_c = phi = math.inf
         i1_d = j1_d = i1_c = j1_c = 0
         for j2 in range(i2 + 2, top):
             j1 = j2 - 1
@@ -160,36 +168,41 @@ def four_opt_best(inst: Instance, tour: Tour) -> MoveDelta:
                 phi_d = v
                 i1_d = arg_d[j1]
                 j1_d = j1
+                if v < phi:
+                    phi = v
             v = min_c[j1]
             if v < phi_c:
                 phi_c = v
                 i1_c = arg_c[j1]
                 j1_c = j1
+                if v < phi:
+                    phi = v
             d = base_d[j2]
-            total = d + phi_d
-            if (
-                total < best_delta
-                and last[p3][j1_d] <= i1_d
-                and last[j1_d + 1][j2] <= i1_d
-            ):
-                best_delta = total
-                best = MoveDelta(_KINDS[0], (i1_d, i2, j1_d, j2), total)
-            total = d + phi_c
-            if (
-                total < best_delta
-                and last[p3][j1_c] <= i1_c
-                and last[j1_c + 1][j2] <= i1_c
-                and j1_c < cut3
-                and j2 < cut[j1_c + 1]
-            ):
-                best_delta = total
-                best = MoveDelta(_KINDS[1], (i1_c, i2, j1_c, j2), total)
+            if d + phi < best_delta:
+                total = d + phi_d
+                if (
+                    total < best_delta
+                    and last[p3][j1_d] <= i1_d
+                    and last[j1_d + 1][j2] <= i1_d
+                ):
+                    best_delta = total
+                    best = MoveDelta(_KINDS[0], (i1_d, i2, j1_d, j2), total)
+                total = d + phi_c
+                if (
+                    total < best_delta
+                    and j1_c < cut3
+                    and j2 < cut[j1_c + 1]
+                    and last[p3][j1_c] <= i1_c
+                    and last[j1_c + 1][j2] <= i1_c
+                ):
+                    best_delta = total
+                    best = MoveDelta(_KINDS[1], (i1_c, i2, j1_c, j2), total)
             total = base_c[j2] + phi_d
             if (
                 total < best_delta
-                and last[j1_d + 1][j2] <= i1_d
                 and i2 < cut[i1_d + 1]
                 and j1_d < cut3
+                and last[j1_d + 1][j2] <= i1_d
             ):
                 best_delta = total
                 best = MoveDelta(_KINDS[2], (i1_d, i2, j1_d, j2), total)

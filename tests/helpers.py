@@ -44,6 +44,25 @@ def random_feasible_tour(rng, inst: Instance) -> Tour:
     return Tour(inst, random_feasible_seq(rng, inst))
 
 
+def feasible_orders(n):
+    """Every customer order with each pickup x before its delivery x + n,
+    built by extending with an unplaced pickup or a delivery whose
+    pickup is placed."""
+    order = []
+
+    def extend():
+        if len(order) == 2 * n:
+            yield tuple(order)
+            return
+        for v in range(1, 2 * n + 1):
+            if v not in order and (v <= n or v - n in order):
+                order.append(v)
+                yield from extend()
+                order.pop()
+
+    return extend()
+
+
 def layer_widths(layers) -> tuple:
     """Widest layer of a Balas-Simonetti graph, as ``bs_optimize``
     returns its layers: (state count, count of distinct (m, mask)
@@ -80,6 +99,25 @@ def adjacent_pairs_tour(rng, inst: Instance) -> Tour:
             seq.append(waiting.pop(rng.randrange(len(waiting))))
     seq.append(inst.end)
     return Tour(inst, seq)
+
+
+def tour_shapes(rng, inst: Instance) -> list:
+    """Feasible tours of four shapes: every pickup before every delivery,
+    each in random order; nested pairs 1, 2, ..., n, 2n, ..., n + 1;
+    adjacent pairs (``adjacent_pairs_tour``); and a random feasible
+    tour."""
+    n = inst.n_pairs
+    pickups = list(range(1, n + 1))
+    deliveries = list(range(n + 1, 2 * n + 1))
+    rng.shuffle(pickups)
+    rng.shuffle(deliveries)
+    nested = list(range(1, n + 1)) + list(range(2 * n, n, -1))
+    return [
+        Tour(inst, [0, *pickups, *deliveries, inst.end]),
+        Tour(inst, [0, *nested, inst.end]),
+        adjacent_pairs_tour(rng, inst),
+        random_feasible_tour(rng, inst),
+    ]
 
 
 def line_tour(n, *, mode="closed", step=10) -> Tour:

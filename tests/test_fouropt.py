@@ -23,10 +23,12 @@ from pdtsp_kit.tour import (
 from helpers import (
     adjacent_pairs_tour,
     euclid_instance,
+    feasible_orders,
     float_instance,
     four_opt_best_reference,
     four_opt_type1_any_reference,
     random_feasible_tour,
+    tour_shapes,
 )
 
 
@@ -326,3 +328,46 @@ def test_reused_rows_match_the_allocating_kernels():
             assert repr(mv.delta) == repr(ref.delta)
             assert four_opt_type1_any(inst, seq) == mv
     assert moves >= 40
+
+
+def assert_like_reference(inst, tour):
+    ref = four_opt_best_reference(inst, tour)
+    mv = four_opt_best(inst, tour)
+    assert mv == ref
+    assert repr(mv.delta) == repr(ref.delta)
+    assert four_opt_best(inst, tour) == mv
+    return mv
+
+
+def test_every_tiny_tour_matches_the_reference():
+    # Every feasible tour of 1 to 4 pairs: each type next to both ends
+    # of the tour, with candidates that pass and fail the one-minimum
+    # screen and their cut tests.
+    rng = random.Random(292)
+    kinds = set()
+    for n in (1, 2, 3, 4):
+        for build in (euclid_instance, float_instance):
+            for mode in ("closed", "open"):
+                inst = build(rng, n, mode=mode)
+                for order in feasible_orders(n):
+                    mv = assert_like_reference(inst, Tour(inst, [0, *order, inst.end]))
+                    if mv.indices:
+                        kinds.add(mv.kind)
+    assert kinds == {"4opt-type1", "4opt-type2a", "4opt-type2b"}
+
+
+def test_tour_shapes_match_the_reference():
+    # Pickups first and nested pairs leave long segments that cannot
+    # flip, so many candidates of types 2a and 2b fail their cut tests;
+    # adjacent pairs and random tours flip often. 10 to 60 pairs.
+    rng = random.Random(293)
+    kinds = set()
+    for n in (10, 25, 40, 60):
+        for build in (euclid_instance, float_instance):
+            for mode in ("closed", "open"):
+                inst = build(rng, n, mode=mode)
+                for tour in tour_shapes(rng, inst):
+                    mv = assert_like_reference(inst, tour)
+                    if mv.indices:
+                        kinds.add(mv.kind)
+    assert kinds == {"4opt-type1", "4opt-type2a", "4opt-type2b"}

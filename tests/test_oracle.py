@@ -10,30 +10,11 @@ from pdtsp_kit.search import local_search
 from pdtsp_kit.neighborhoods import SearchParams
 from pdtsp_kit.metaheuristics import greedy_construct
 from pdtsp_kit.tour import Tour, tour_cost
-from helpers import euclid_instance, float_instance, random_feasible_tour
+from helpers import euclid_instance, feasible_orders, float_instance, random_feasible_tour
 
 
 def feasible_leaves(n):
     return math.factorial(2 * n) // 2**n
-
-
-def feasible_orders(n):
-    """Every customer order with each pickup x before its delivery x + n,
-    built by extending with an unplaced pickup or a delivery whose
-    pickup is placed."""
-    order = []
-
-    def extend():
-        if len(order) == 2 * n:
-            yield tuple(order)
-            return
-        for v in range(1, 2 * n + 1):
-            if v not in order and (v <= n or v - n in order):
-                order.append(v)
-                yield from extend()
-                order.pop()
-
-    return extend()
 
 
 def enumerate_optimum(inst):

@@ -6,13 +6,15 @@ import pytest
 
 from pdtsp_kit.neighborhoods import two_k_opt_best
 from pdtsp_kit.neighborhoods.oracles import two_k_opt_oracle
-from pdtsp_kit.tour import MoveDelta, apply_move, tour_cost
+from pdtsp_kit.tour import MoveDelta, Tour, apply_move, tour_cost
 from helpers import (
     adjacent_pairs_tour,
     euclid_instance,
+    feasible_orders,
     float_instance,
     line_tour,
     random_feasible_tour,
+    tour_shapes,
     two_k_opt_best_reference,
 )
 
@@ -182,4 +184,44 @@ def test_reused_rows_match_the_allocating_kernel():
                 assert repr(mv.delta) == repr(ref.delta)
                 assert two_k_opt_best(inst, tour) == mv
                 nested += _nested(mv.indices)
+    assert nested >= 10
+
+
+def assert_like_reference(inst, tour):
+    ref = two_k_opt_best_reference(inst, tour)
+    mv = two_k_opt_best(inst, tour)
+    assert mv == ref
+    assert repr(mv.delta) == repr(ref.delta)
+    assert two_k_opt_best(inst, tour) == mv
+    return mv
+
+
+def test_every_tiny_tour_matches_the_reference():
+    # Every feasible tour of 1 to 4 pairs: rows whose cut is i + 1,
+    # blocked and priced reversal cells, and cells whose 2-opt gain no
+    # finite cell reads, next to both ends of the tour.
+    rng = random.Random(290)
+    moves = 0
+    for n in (1, 2, 3, 4):
+        for build in (euclid_instance, float_instance):
+            for mode in ("closed", "open"):
+                inst = build(rng, n, mode=mode)
+                for order in feasible_orders(n):
+                    tour = Tour(inst, [0, *order, inst.end])
+                    moves += bool(assert_like_reference(inst, tour).indices)
+    assert moves >= 10000
+
+
+def test_tour_shapes_match_the_reference():
+    # Pickups first, nested pairs, adjacent pairs and random tours reach
+    # long runs of blocked reversal cells and of cells that price no
+    # 2-opt gain, from 10 to 60 pairs.
+    rng = random.Random(291)
+    nested = 0
+    for n in (10, 25, 40, 60):
+        for build in (euclid_instance, float_instance):
+            for mode in ("closed", "open"):
+                inst = build(rng, n, mode=mode)
+                for tour in tour_shapes(rng, inst):
+                    nested += _nested(assert_like_reference(inst, tour).indices)
     assert nested >= 10
